@@ -108,27 +108,40 @@ let is_staircase doc context =
 
 type partition = { scan_from : int; scan_to : int; boundary_post : int }
 
-(* Partitions of a context that is already a pruned staircase — the O(n)
-   prune is *not* re-run, so callers that prune once (the joins below,
-   Scj_frag.Parallel) never pay for it twice. *)
-let desc_partitions_pruned doc context =
+(* The partitions of a context that is already a pruned staircase, as
+   [f ~lo ~hi ~boundary] calls in document order: scan ranks [lo .. hi]
+   against post rank [boundary].  The O(n) prune is *not* re-run, so
+   callers that prune once (the joins below, Scj_frag.Parallel) never
+   pay for it twice, and the serial joins build no partition records —
+   an allocation per partition costs a stop-the-world minor collection
+   share whenever other domains are alive. *)
+let iter_desc_partitions doc context f =
   let posts = Doc.post_array doc in
   let ctx = Nodeseq.unsafe_array context in
   let m = Array.length ctx in
   let n = Doc.n_nodes doc in
-  List.init m (fun k ->
-      let c = ctx.(k) in
-      let scan_to = if k + 1 < m then ctx.(k + 1) - 1 else n - 1 in
-      { scan_from = c + 1; scan_to; boundary_post = posts.(c) })
+  for k = 0 to m - 1 do
+    let c = ctx.(k) in
+    f ~lo:(c + 1) ~hi:(if k + 1 < m then ctx.(k + 1) - 1 else n - 1) ~boundary:posts.(c)
+  done
 
-let anc_partitions_pruned doc context =
+let iter_anc_partitions doc context f =
   let posts = Doc.post_array doc in
   let ctx = Nodeseq.unsafe_array context in
-  let m = Array.length ctx in
-  List.init m (fun k ->
-      let c = ctx.(k) in
-      let scan_from = if k = 0 then 0 else ctx.(k - 1) + 1 in
-      { scan_from; scan_to = c - 1; boundary_post = posts.(c) })
+  for k = 0 to Array.length ctx - 1 do
+    let c = ctx.(k) in
+    f ~lo:(if k = 0 then 0 else ctx.(k - 1) + 1) ~hi:(c - 1) ~boundary:posts.(c)
+  done
+
+let partitions iter doc context =
+  let acc = ref [] in
+  iter doc context (fun ~lo ~hi ~boundary ->
+      acc := { scan_from = lo; scan_to = hi; boundary_post = boundary } :: !acc);
+  List.rev !acc
+
+let desc_partitions_pruned doc context = partitions iter_desc_partitions doc context
+
+let anc_partitions_pruned doc context = partitions iter_anc_partitions doc context
 
 let desc_partitions doc context =
   desc_partitions_pruned doc (prune_desc_st (Stats.create ()) doc context)
@@ -137,131 +150,152 @@ let anc_partitions doc context =
   anc_partitions_pruned doc (prune_anc_st (Stats.create ()) doc context)
 
 (* ------------------------------------------------------------------ *)
-(* staircase join, descendant axis (Algorithms 2, 3, 4)                 *)
+(* partition kernels: one per phase, over column slices                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Every executor — the serial joins below, Parallel's weighted slices,
+   Morsel's chunks and the paged join — runs a partition through these
+   kernels, so results and counters agree by construction.  A kernel
+   reads a column slice: [col.(i - off)] is rank [i]'s entry.  The
+   in-memory column is the one-slice case ([off = 0]); the paged join
+   hands in one pinned page at a time, which is why a scan takes the
+   partition's last rank [limit] apart from the slice's last rank
+   [hi]. *)
+
+(* Descendant scan of ranks [lo .. hi].  A partition holds c's subtree
+   first and following(c) after it, so the nodes with post < boundary
+   are a prefix of the range; the result is the rank just past that
+   prefix.  Skipping stops at the first non-descendant and skips the
+   rest of the partition (Algorithm 3); without skipping every node is
+   compared (Algorithm 2). *)
+let desc_scan ~skip stats (posts : int array) ~off ~lo ~hi ~limit ~boundary =
+  if skip then begin
+    let i = ref lo in
+    while !i <= hi && posts.(!i - off) < boundary do
+      incr i
+    done;
+    if !i <= hi then begin
+      stats.Stats.scanned <- stats.Stats.scanned + (!i - lo + 1);
+      stats.Stats.skipped <- stats.Stats.skipped + (limit - !i)
+    end
+    else stats.Stats.scanned <- stats.Stats.scanned + (!i - lo);
+    !i
+  end
+  else begin
+    let inside = ref 0 in
+    for i = lo to hi do
+      if posts.(i - off) < boundary then incr inside
+    done;
+    stats.Stats.scanned <- stats.Stats.scanned + (hi - lo + 1);
+    lo + !inside
+  end
+
+(* Ancestor scan of ranks [lo .. hi], appending every node with post >
+   boundary (ancestors are elements: no attribute filter).  A node
+   outside the region takes its whole subtree with it into preceding(c):
+   hop over it (§3.3) by the Equation-(1) lower bound, or the exact size
+   with the footnote-5 encoding ([sizes] is read in that mode only, at
+   the offset of [posts]).  Hops stop at [limit]; the result is the next
+   rank to visit, which may lie past [hi]. *)
+let anc_scan ~mode stats ~(posts : int array) ~(sizes : int array) ~off ~lo ~hi ~limit ~boundary
+    out =
+  let i = ref lo in
+  while !i <= hi do
+    stats.Stats.scanned <- stats.Stats.scanned + 1;
+    let p = posts.(!i - off) in
+    if p > boundary then begin
+      Int_col.append_unit out !i;
+      stats.Stats.appended <- stats.Stats.appended + 1;
+      incr i
+    end
+    else begin
+      let hop =
+        match mode with
+        | No_skipping -> 0
+        | Skipping | Estimation -> max 0 (p - !i)
+        | Exact_size -> sizes.(!i - off)
+      in
+      let hop = min hop (limit - !i) in
+      stats.Stats.skipped <- stats.Stats.skipped + hop;
+      i := !i + hop + 1
+    end
+  done;
+  !i
+
+(* §4.2: the copy phase is comparison-free, so it runs as bulk range
+   fills (attributes carved out via the prefix sums) with the counters
+   bumped once per phase — the batched sums equal the per-node
+   reference totals exactly. *)
+let count_copy stats ~lo ~hi ~appended =
+  stats.Stats.copied <- stats.Stats.copied + (hi - lo + 1);
+  stats.Stats.appended <- stats.Stats.appended + appended
+
+type phase = Copy | Desc_scan | Anc_scan | Skip
+
+(* The phases of the descendant partition scanning ranks [lo .. hi] for
+   context node [lo - 1] (Algorithms 2, 3, 4), passed to [f] in rank
+   order.  An ancestor partition is a single [Anc_scan] phase. *)
+let desc_phases ~mode doc ~lo ~hi ~boundary f =
+  let c = lo - 1 in
+  let copy_to =
+    match mode with
+    | No_skipping | Skipping -> c
+    | Estimation ->
+      (* the first post(c) - pre(c) nodes after c are descendants for
+         sure (Equation 1): copy them without looking at their posts *)
+      max c (min hi boundary)
+    | Exact_size -> min hi (c + (Doc.size_array doc).(c))
+  in
+  if copy_to > c then f Copy ~lo ~hi:copy_to ~boundary;
+  if hi > copy_to then
+    f (if mode = Exact_size then Skip else Desc_scan) ~lo:(copy_to + 1) ~hi ~boundary
+
+let run_phase ~mode doc stats out phase ~lo ~hi ~boundary =
+  match phase with
+  | Copy -> count_copy stats ~lo ~hi ~appended:(Doc.append_nonattr_range doc out ~lo ~hi)
+  | Desc_scan ->
+    let stop =
+      desc_scan ~skip:(mode <> No_skipping) stats (Doc.post_array doc) ~off:0 ~lo ~hi ~limit:hi
+        ~boundary
+    in
+    stats.Stats.appended <-
+      stats.Stats.appended + Doc.append_nonattr_range doc out ~lo ~hi:(stop - 1)
+  | Anc_scan ->
+    ignore
+      (anc_scan ~mode stats ~posts:(Doc.post_array doc) ~sizes:(Doc.size_array doc) ~off:0 ~lo
+         ~hi ~limit:hi ~boundary out)
+  | Skip -> stats.Stats.skipped <- stats.Stats.skipped + (hi - lo + 1)
+
+(* ------------------------------------------------------------------ *)
+(* staircase joins, descendant and ancestor axes                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [run] and the phase plan are called directly, not through partial
+   applications: those take the slow curried path on every call. *)
+let join exec doc ~desc context =
+  if Nodeseq.is_empty context then Nodeseq.empty
+  else begin
+    let mode = exec.Exec.mode and stats = exec.Exec.stats in
+    let out = Int_col.create ~capacity:256 () in
+    let run phase ~lo ~hi ~boundary = run_phase ~mode doc stats out phase ~lo ~hi ~boundary in
+    if desc then
+      iter_desc_partitions doc context (fun ~lo ~hi ~boundary ->
+          Exec.checkpoint exec;
+          desc_phases ~mode doc ~lo ~hi ~boundary run)
+    else
+      iter_anc_partitions doc context (fun ~lo ~hi ~boundary ->
+          Exec.checkpoint exec;
+          run Anc_scan ~lo ~hi ~boundary);
+    Nodeseq.of_sorted_array (Int_col.to_array out)
+  end
 
 let desc ?exec doc context =
   let exec = ensure_exec exec in
-  let mode = exec.Exec.mode and stats = exec.Exec.stats in
-  let context = prune_desc_st stats doc context in
-  let m = Nodeseq.length context in
-  if m = 0 then Nodeseq.empty
-  else begin
-    let n = Doc.n_nodes doc in
-    let posts = Doc.post_array doc in
-    let sizes = Doc.size_array doc in
-    let kinds = Doc.kind_array doc in
-    let ctx = Nodeseq.unsafe_array context in
-    let result = Int_col.create ~capacity:256 () in
-    let append i =
-      if kinds.(i) <> Doc.Attribute then begin
-        Int_col.append_unit result i;
-        stats.Stats.appended <- stats.Stats.appended + 1
-      end
-    in
-    (* scan [i .. scan_to] comparing posts against [boundary]; stops at the
-       first node outside the boundary when skipping is on *)
-    let scan_phase ~skip i scan_to boundary =
-      let i = ref i in
-      let break = ref false in
-      while (not !break) && !i <= scan_to do
-        stats.Stats.scanned <- stats.Stats.scanned + 1;
-        if posts.(!i) < boundary then begin
-          append !i;
-          incr i
-        end
-        else if skip then begin
-          stats.Stats.skipped <- stats.Stats.skipped + (scan_to - !i);
-          break := true
-        end
-        else incr i
-      done
-    in
-    (* §4.2: the copy phase is comparison-free, so it runs as bulk range
-       fills (attributes carved out via the prefix sums) with the two
-       counters bumped once per phase — the batched sums equal the
-       per-node reference totals exactly *)
-    let copy_phase from upto =
-      if upto >= from then begin
-        let appended = Doc.append_nonattr_range doc result ~lo:from ~hi:upto in
-        stats.Stats.copied <- stats.Stats.copied + (upto - from + 1);
-        stats.Stats.appended <- stats.Stats.appended + appended
-      end
-    in
-    for k = 0 to m - 1 do
-      Exec.checkpoint exec;
-      let c = ctx.(k) in
-      let boundary = posts.(c) in
-      let scan_to = if k + 1 < m then ctx.(k + 1) - 1 else n - 1 in
-      match mode with
-      | No_skipping -> scan_phase ~skip:false (c + 1) scan_to boundary
-      | Skipping -> scan_phase ~skip:true (c + 1) scan_to boundary
-      | Estimation ->
-        (* the first post(c) - pre(c) nodes after c are descendants for
-           sure (Equation 1): copy them without looking at their posts *)
-        let copy_to = min scan_to boundary in
-        copy_phase (c + 1) copy_to;
-        scan_phase ~skip:true (max (c + 1) (copy_to + 1)) scan_to boundary
-      | Exact_size ->
-        let copy_to = min scan_to (c + sizes.(c)) in
-        copy_phase (c + 1) copy_to;
-        stats.Stats.skipped <- stats.Stats.skipped + (scan_to - copy_to)
-    done;
-    Nodeseq.of_sorted_array (Int_col.to_array result)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* staircase join, ancestor axis                                        *)
-(* ------------------------------------------------------------------ *)
+  join exec doc ~desc:true (prune_desc_st exec.Exec.stats doc context)
 
 let anc ?exec doc context =
   let exec = ensure_exec exec in
-  let mode = exec.Exec.mode and stats = exec.Exec.stats in
-  let context = prune_anc_st stats doc context in
-  let m = Nodeseq.length context in
-  if m = 0 then Nodeseq.empty
-  else begin
-    let posts = Doc.post_array doc in
-    let sizes = Doc.size_array doc in
-    let ctx = Nodeseq.unsafe_array context in
-    let result = Int_col.create ~capacity:64 () in
-    let append i =
-      (* ancestors are element nodes by construction: no attribute filter *)
-      Int_col.append_unit result i;
-      stats.Stats.appended <- stats.Stats.appended + 1
-    in
-    let scan_partition scan_from scan_to boundary =
-      let i = ref scan_from in
-      while !i <= scan_to do
-        stats.Stats.scanned <- stats.Stats.scanned + 1;
-        if posts.(!i) > boundary then begin
-          append !i;
-          incr i
-        end
-        else begin
-          (* [!i] together with its whole subtree lies in preceding(c):
-             hop over it (§3.3).  The hop width is the Equation-(1) lower
-             bound, or the exact size with the footnote-5 encoding. *)
-          let hop =
-            match mode with
-            | No_skipping -> 0
-            | Skipping | Estimation -> max 0 (posts.(!i) - !i)
-            | Exact_size -> sizes.(!i)
-          in
-          let hop = min hop (scan_to - !i) in
-          stats.Stats.skipped <- stats.Stats.skipped + hop;
-          i := !i + hop + 1
-        end
-      done
-    in
-    for k = 0 to m - 1 do
-      Exec.checkpoint exec;
-      let c = ctx.(k) in
-      let scan_from = if k = 0 then 0 else ctx.(k - 1) + 1 in
-      scan_partition scan_from (c - 1) posts.(c)
-    done;
-    Nodeseq.of_sorted_array (Int_col.to_array result)
-  end
+  join exec doc ~desc:false (prune_anc_st exec.Exec.stats doc context)
 
 (* ------------------------------------------------------------------ *)
 (* following / preceding: degenerate single region queries (§3.1)       *)
@@ -311,11 +345,9 @@ let following ?exec doc context =
     | Skipping | Estimation | Exact_size ->
       (* everything past the subtree follows the context node: one
          comparison-free blit run, counters batched *)
-      if n - 1 >= start then begin
-        let appended = Doc.append_nonattr_range doc result ~lo:start ~hi:(n - 1) in
-        stats.Stats.copied <- stats.Stats.copied + (n - start);
-        stats.Stats.appended <- stats.Stats.appended + appended
-      end);
+      if n - 1 >= start then
+        count_copy stats ~lo:start ~hi:(n - 1)
+          ~appended:(Doc.append_nonattr_range doc result ~lo:start ~hi:(n - 1)));
     Nodeseq.of_sorted_array (Int_col.to_array result)
 
 let preceding ?exec doc context =
@@ -384,46 +416,16 @@ end
 
 (* Blit copy kernel over a view window: append the pre ranks of the
    non-attribute view entries with indices in [lo, hi) to [out], as
-   slice blits of the view's pre column delimited by the attribute
-   entries (located by binary search on the view's prefix sums).
+   slice blits of the view's pre column [pres] between the attribute
+   runs the shared run finder locates on the view's prefix sums.
    Returns the number of entries appended. *)
-let copy_view_run (v : View.t) out lo hi =
+let copy_view_run (v : View.t) ?pres out lo hi =
   if hi <= lo then 0
   else begin
-    let ap = v.View.attr_prefix and pres = v.View.pres in
+    let ap = v.View.attr_prefix in
     let nonattr = hi - lo - (ap.(hi) - ap.(lo)) in
     Int_col.reserve out nonattr;
-    if hi - lo < 16 then
-      (* short windows: a straight loop beats the run bookkeeping *)
-      for i = lo to hi - 1 do
-        if ap.(i + 1) = ap.(i) then Int_col.append_unit out pres.(i)
-      done
-    else begin
-    let i = ref lo in
-    while !i < hi do
-      let base = ap.(!i) in
-      if ap.(hi) = base then begin
-        Int_col.append_slice out pres ~pos:!i ~len:(hi - !i);
-        i := hi
-      end
-      else begin
-        (* smallest j in (!i, hi] with ap.(j) > base: the first attribute
-           entry at or after !i sits at index j - 1 *)
-        let l = ref (!i + 1) and r = ref hi in
-        while !l < !r do
-          let mid = (!l + !r) / 2 in
-          if ap.(mid) > base then r := mid else l := mid + 1
-        done;
-        let a = !l - 1 in
-        if a > !i then Int_col.append_slice out pres ~pos:!i ~len:(a - !i);
-        let j = ref a in
-        while !j < hi && ap.(!j + 1) > ap.(!j) do
-          incr j
-        done;
-        i := !j
-      end
-    done
-    end;
+    Doc.append_nonattr_runs ap ~off:0 ?pres out ~lo ~hi;
     nonattr
   end
 
@@ -446,33 +448,21 @@ let desc_view ?exec doc view context =
   else begin
     let doc_posts = Doc.post_array doc in
     let sizes = Doc.size_array doc in
-    let kinds = Doc.kind_array doc in
-    let pres = view.View.pres and vposts = view.View.posts in
-    let vn = Array.length pres in
+    let vposts = view.View.posts in
+    let pres = Some view.View.pres in
+    let vn = View.length view in
     let ctx = Nodeseq.unsafe_array context in
     let result = Int_col.create ~capacity:64 () in
-    let append vi =
-      let pre = pres.(vi) in
-      if kinds.(pre) <> Doc.Attribute then begin
-        Int_col.append_unit result pre;
-        stats.Stats.appended <- stats.Stats.appended + 1
-      end
-    in
+    (* view indices stand in for ranks: the descendant scan kernel finds
+       the matching prefix of the window, the run finder copies it *)
     let scan_phase ~skip vi hi boundary =
-      let vi = ref vi in
-      let break = ref false in
-      while (not !break) && !vi < hi do
-        stats.Stats.scanned <- stats.Stats.scanned + 1;
-        if vposts.(!vi) < boundary then begin
-          append !vi;
-          incr vi
-        end
-        else if skip then begin
-          stats.Stats.skipped <- stats.Stats.skipped + (hi - !vi - 1);
-          break := true
-        end
-        else incr vi
-      done
+      let stop =
+        desc_scan ~skip stats vposts ~off:0 ~lo:vi ~hi:(hi - 1) ~limit:(hi - 1) ~boundary
+      in
+      stats.Stats.appended <- stats.Stats.appended + copy_view_run view ?pres result vi stop
+    in
+    let copy_phase lo hi =
+      count_copy stats ~lo ~hi:(hi - 1) ~appended:(copy_view_run view ?pres result lo hi)
     in
     for k = 0 to m - 1 do
       let c = ctx.(k) in
@@ -486,15 +476,11 @@ let desc_view ?exec doc view context =
         (* view nodes with pre <= post(c) are guaranteed descendants:
            blit the window, batch the counters *)
         let copy_hi = max lo (min hi (view_lower_bound view (boundary + 1))) in
-        let appended = copy_view_run view result lo copy_hi in
-        stats.Stats.copied <- stats.Stats.copied + (copy_hi - lo);
-        stats.Stats.appended <- stats.Stats.appended + appended;
+        copy_phase lo copy_hi;
         scan_phase ~skip:true copy_hi hi boundary
       | Exact_size ->
         let copy_hi = max lo (min hi (view_lower_bound view (c + sizes.(c) + 1))) in
-        let appended = copy_view_run view result lo copy_hi in
-        stats.Stats.copied <- stats.Stats.copied + (copy_hi - lo);
-        stats.Stats.appended <- stats.Stats.appended + appended;
+        copy_phase lo copy_hi;
         stats.Stats.skipped <- stats.Stats.skipped + (hi - copy_hi)
     done;
     Nodeseq.of_sorted_array (Int_col.to_array result)

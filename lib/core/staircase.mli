@@ -122,6 +122,100 @@ val desc_partitions_pruned : Doc.t -> Nodeseq.t -> partition list
     for the ancestor axis ([staircase] must be {!prune_anc} output). *)
 val anc_partitions_pruned : Doc.t -> Nodeseq.t -> partition list
 
+(** {1 Partition kernels}
+
+    One kernel per phase of a partition, shared by every executor: the
+    joins above, {!Scj_frag.Parallel}'s weighted slices,
+    {!Scj_frag.Morsel}'s chunks and the paged join of
+    [Scj_pager.Paged_doc] — results and work counters agree across
+    executors because the same code produces them.  A kernel reads a
+    column {e slice}: [col.(i - off)] is rank [i]'s entry.  An in-memory
+    column is the one-slice case ([off = 0]); the paged join passes one
+    pinned page at a time, so a scan takes its partition's last rank
+    [limit] apart from the slice's last rank [hi]. *)
+
+(** [desc_scan ~skip stats posts ~off ~lo ~hi ~limit ~boundary] compares
+    ranks [lo .. hi] against [boundary] and returns the rank just past
+    those with [post < boundary].  A descendant partition holds the
+    context node's subtree first, so those ranks are a prefix of the
+    range.  With [skip] the scan stops at the first other rank and counts
+    the rest up to [limit] as skipped (Algorithm 3); without, it compares
+    every rank (Algorithm 2).  Appends nothing: the caller copies the
+    prefix through {!Scj_encoding.Doc.append_nonattr_runs}. *)
+val desc_scan :
+  skip:bool ->
+  Scj_stats.Stats.t ->
+  int array ->
+  off:int ->
+  lo:int ->
+  hi:int ->
+  limit:int ->
+  boundary:int ->
+  int
+
+(** [anc_scan ~mode stats ~posts ~sizes ~off ~lo ~hi ~limit ~boundary
+    out] appends the ranks in [lo .. hi] with [post > boundary] to [out],
+    hopping over the subtree of every other rank as [mode] allows
+    ([sizes], at the offset of [posts], is read in [Exact_size] mode
+    only); hops stop at [limit].  Returns the next rank to visit, which
+    may lie past [hi]. *)
+val anc_scan :
+  mode:skip_mode ->
+  Scj_stats.Stats.t ->
+  posts:int array ->
+  sizes:int array ->
+  off:int ->
+  lo:int ->
+  hi:int ->
+  limit:int ->
+  boundary:int ->
+  Scj_bat.Int_col.t ->
+  int
+
+(** [count_copy stats ~lo ~hi ~appended] books a comparison-free copy
+    phase over ranks [lo .. hi] that appended [appended] non-attribute
+    ranks. *)
+val count_copy : Scj_stats.Stats.t -> lo:int -> hi:int -> appended:int -> unit
+
+(** The kind of one phase of a partition; the phase itself is the kind
+    plus an inclusive rank range [lo .. hi] and the partition's
+    boundary post rank. *)
+type phase =
+  | Copy  (** guaranteed descendants: no comparisons *)
+  | Desc_scan
+  | Anc_scan
+  | Skip  (** nodes proven outside the result without a visit *)
+
+(** [desc_phases ~mode doc ~lo ~hi ~boundary f] calls
+    [f phase ~lo ~hi ~boundary] for each phase of the descendant
+    partition that scans ranks [lo .. hi] for context node [lo - 1]
+    (post rank [boundary]) under skipping variant [mode], in rank order.
+    An ancestor partition is a single [Anc_scan] phase. *)
+val desc_phases :
+  mode:skip_mode ->
+  Doc.t ->
+  lo:int ->
+  hi:int ->
+  boundary:int ->
+  (phase -> lo:int -> hi:int -> boundary:int -> unit) ->
+  unit
+
+(** [run_phase ~mode doc stats out phase ~lo ~hi ~boundary] runs one
+    phase over the in-memory columns, appending to [out].  A [Copy]
+    phase, or any scan when [mode = No_skipping], may be split into
+    consecutive sub-ranges run separately: the appended ranks and
+    counter sums stay the same. *)
+val run_phase :
+  mode:skip_mode ->
+  Doc.t ->
+  Scj_stats.Stats.t ->
+  Scj_bat.Int_col.t ->
+  phase ->
+  lo:int ->
+  hi:int ->
+  boundary:int ->
+  unit
+
 (** {1 Joins over document subsets (views)}
 
     A view is a pre-sorted subset of the document's nodes, e.g. all

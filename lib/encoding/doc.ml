@@ -161,15 +161,16 @@ let of_tree tree =
   finish_builder b
 
 (* Streaming loader: the SAX event fold drives the same builder the tree
-   loader uses, with an explicit stack of open elements. *)
-type sax_state = { builder : builder; mutable open_elements : int list }
+   loader uses, with an explicit stack of open elements; [depth] is the
+   stack's length, kept alongside so a node's level costs O(1). *)
+type sax_state = { builder : builder; mutable open_elements : int list; mutable depth : int }
 
 let of_string xml =
-  let st = { builder = new_builder (); open_elements = [] } in
+  let st = { builder = new_builder (); open_elements = []; depth = 0 } in
   let b = st.builder in
   let intern name = Dict.intern b.b_names name in
   let store_text s = Str_col.append b.b_texts s in
-  let level () = List.length st.open_elements in
+  let level () = st.depth in
   let parent () = match st.open_elements with [] -> -1 | p :: _ -> p in
   let leaf ~kind ~tag ~content =
     let pre = open_node b ~level:(level ()) ~parent:(parent ()) ~kind ~tag ~content in
@@ -183,6 +184,7 @@ let of_string xml =
           ~content:(-1)
       in
       st.open_elements <- pre :: st.open_elements;
+      st.depth <- st.depth + 1;
       List.iter
         (fun (k, v) ->
           let apre =
@@ -195,7 +197,8 @@ let of_string xml =
       match st.open_elements with
       | pre :: rest ->
         close_node b pre;
-        st.open_elements <- rest
+        st.open_elements <- rest;
+        st.depth <- st.depth - 1
       | [] -> ())
     | Scj_xml.Parser.Text s -> leaf ~kind:Text ~tag:(-1) ~content:(store_text s)
     | Scj_xml.Parser.Comment s -> leaf ~kind:Comment ~tag:(-1) ~content:(store_text s)
@@ -322,6 +325,52 @@ let attr_count_range t ~lo ~hi =
     t.attr_prefix.(hi + 1) - t.attr_prefix.(lo)
   end
 
+(* Attributes sit in contiguous runs right after their owner element, so
+   the non-attribute entries of a window form a handful of maximal runs,
+   each emitted with one range fill (ranks) or slice blit (a view's pre
+   column).  The next attribute is located by binary search on the
+   prefix sums, so the cost is O(runs * log n) — independent of the run
+   lengths. *)
+let append_nonattr_runs (prefix : int array) ~off ?pres out ~lo ~hi =
+  (* work in slice coordinates: index k here is entry k + off *)
+  let lo = lo - off and hi = hi - off in
+  if hi - lo < 16 then
+    (* short windows: a straight loop beats the run bookkeeping *)
+    for i = lo to hi - 1 do
+      if prefix.(i + 1) = prefix.(i) then
+        Int_col.append_unit out (match pres with None -> i + off | Some p -> p.(i + off))
+    done
+  else begin
+    let i = ref lo in
+    while !i < hi do
+      let base = prefix.(!i) in
+      (* first attribute at or after !i, or hi: the entry just before the
+         smallest j in (!i, hi] with prefix.(j) > base *)
+      let a =
+        if prefix.(hi) = base then hi
+        else begin
+          let l = ref (!i + 1) and r = ref hi in
+          while !l < !r do
+            let mid = (!l + !r) / 2 in
+            if prefix.(mid) > base then r := mid else l := mid + 1
+          done;
+          !l - 1
+        end
+      in
+      if a > !i then begin
+        match pres with
+        | None -> Int_col.append_range out ~lo:(!i + off) ~hi:(a + off - 1)
+        | Some p -> Int_col.append_slice out p ~pos:(!i + off) ~len:(a - !i)
+      end;
+      (* hop over the contiguous attribute run *)
+      let j = ref a in
+      while !j < hi && prefix.(!j + 1) > prefix.(!j) do
+        incr j
+      done;
+      i := !j
+    done
+  end
+
 let append_nonattr_range t col ~lo ~hi =
   if hi < lo then 0
   else begin
@@ -332,43 +381,7 @@ let append_nonattr_range t col ~lo ~hi =
     let ap = t.attr_prefix in
     let nonattr = hi - lo + 1 - (ap.(hi + 1) - ap.(lo)) in
     Int_col.reserve col nonattr;
-    if hi - lo < 16 then
-      (* short ranges: a straight loop beats the run bookkeeping *)
-      for i = lo to hi do
-        if ap.(i + 1) = ap.(i) then Int_col.append_unit col i
-      done
-    else begin
-    (* attributes sit in contiguous runs right after their owner element,
-       so the non-attribute nodes of [lo, hi] form a handful of maximal
-       runs; each one is emitted with a single range fill.  The next
-       attribute is located by binary search on the prefix sums, so the
-       cost is O(runs * log n) — independent of the run lengths. *)
-    let i = ref lo in
-    while !i <= hi do
-      let base = ap.(!i) in
-      if ap.(hi + 1) = base then begin
-        Int_col.append_range col ~lo:!i ~hi;
-        i := hi + 1
-      end
-      else begin
-        (* smallest j in (!i, hi+1] with ap.(j) > base: the first
-           attribute at or after !i sits at j - 1 *)
-        let l = ref (!i + 1) and r = ref (hi + 1) in
-        while !l < !r do
-          let mid = (!l + !r) / 2 in
-          if ap.(mid) > base then r := mid else l := mid + 1
-        done;
-        let a = !l - 1 in
-        if a > !i then Int_col.append_range col ~lo:!i ~hi:(a - 1);
-        (* hop over the contiguous attribute run *)
-        let j = ref a in
-        while !j <= hi && ap.(!j + 1) > ap.(!j) do
-          incr j
-        done;
-        i := !j
-      end
-    done
-    end;
+    append_nonattr_runs ap ~off:0 col ~lo ~hi:(hi + 1);
     nonattr
   end
 

@@ -142,6 +142,16 @@ val attr_prefix_array : t -> int array
     [lo <= pre <= hi], in O(1); [0] when [hi < lo]. *)
 val attr_count_range : t -> lo:int -> hi:int -> int
 
+(** [append_nonattr_runs prefix ~off ?pres col ~lo ~hi] appends to
+    [col], in order, every index [i] in [lo .. hi-1] that is not an
+    attribute — [i] itself, or [pres.(i)] for a view's pre column — as
+    one range fill or slice blit per attribute-free run: the
+    attribute-run finder behind every copy phase.  [prefix] is a slice
+    of a prefix-sum column, [prefix.(k - off)] holding entry [k];
+    entries [lo .. hi] must lie in it. *)
+val append_nonattr_runs :
+  int array -> off:int -> ?pres:int array -> Scj_bat.Int_col.t -> lo:int -> hi:int -> unit
+
 (** [append_nonattr_range t col ~lo ~hi] appends every non-attribute pre
     rank in [lo, hi] (in order) to [col] using range fills — the blit
     copy-phase kernel.  Returns the number of ranks appended.  Cost is

@@ -9,15 +9,15 @@
    any step boundary.  The server's query workers draw from the very same
    pool (queries submit morsels, the server submits queries).
 
-   Counter parity: every morsel carries a private [Stats.t], and each
-   morsel's counter updates mirror the serial join exactly for the node
-   range it owns, so the Σ-tallies merge equals a serial run bit for bit
-   and [Staircase.Reference] stays the oracle.  Scan phases whose control
-   flow is data-dependent (skip hops, early breaks) are never split
-   mid-stream — only the comparison-free copy phases and the
-   per-node-independent no-skip scans are chunked. *)
+   Counter parity: a morsel is a run of the serial join's own partition
+   phases ([Staircase.desc_phases]), executed by the same kernel
+   ([Staircase.run_phase]) into a private [Stats.t], so the Σ-tallies
+   merge equals a serial run bit for bit and [Staircase.Reference] stays
+   the oracle.  Scan phases whose control flow is data-dependent (skip
+   hops, early breaks) are never split mid-stream — only the
+   comparison-free copy phases and the per-node-independent no-skip
+   scans are chunked. *)
 
-module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Int_col = Scj_bat.Int_col
 module Stats = Scj_stats.Stats
@@ -255,84 +255,32 @@ end
    the pool. *)
 let default_morsel_size = 32768
 
-(* One unit of work inside a morsel.  Ranges are inclusive.  Only
-   counter-additive phases are ever chunked below partition granularity:
-   [Copy] (bulk blit, no comparisons) and the no-skip scans (one
-   [scanned] per node, append decisions independent per node).  Skip
-   scans carry data-dependent control flow and stay whole. *)
-(* How an ancestor scan advances past a non-ancestor: stay put
-   ([Hop_none], visit every node), jump to its post rank ([Hop_post]), or
-   jump over its subtree ([Hop_size]). *)
-type hop = Hop_none | Hop_post | Hop_size
+(* One unit of work inside a morsel: a partition phase, or a chunk of
+   one. *)
+type op = { phase : Sj.phase; lo : int; hi : int; boundary : int }
 
-type op =
-  | Copy of { lo : int; hi : int }
-  | Scan_desc of { boundary : int; lo : int; hi : int; skip : bool }
-  | Tally_skip of int
-  | Scan_anc of { boundary : int; lo : int; hi : int; hop : hop }
+let op_weight op =
+  match op.phase with Sj.Skip -> 1 | Sj.Copy | Sj.Desc_scan | Sj.Anc_scan -> op.hi - op.lo + 1
 
-let op_weight = function
-  | Copy { lo; hi } | Scan_desc { lo; hi; _ } | Scan_anc { lo; hi; _ } -> hi - lo + 1
-  | Tally_skip _ -> 1
-
-(* Split the inclusive range [lo..hi] into chunks of at most
-   [morsel_size], emitting [mk lo' hi'] per chunk in ascending order. *)
-let chunked ~morsel_size ~lo ~hi mk acc =
-  let acc = ref acc in
+(* Only counter-additive phases are ever chunked below partition
+   granularity: copies (bulk blit, no comparisons) and the no-skip scans
+   (one [scanned] per node, append decisions independent per node).
+   Skip scans carry data-dependent control flow and stay whole.  Chunks
+   of at most [morsel_size] are pushed onto [acc] in ascending order. *)
+let split ~mode ~morsel_size acc phase ~lo ~hi ~boundary =
+  let chunked =
+    match phase with
+    | Sj.Copy -> true
+    | Sj.Desc_scan | Sj.Anc_scan -> mode = Sj.No_skipping
+    | Sj.Skip -> false
+  in
+  let step = if chunked then morsel_size else hi - lo + 1 in
   let start = ref lo in
   while !start <= hi do
-    let stop = min hi (!start + morsel_size - 1) in
-    acc := mk !start stop :: !acc;
+    let stop = min hi (!start + step - 1) in
+    acc := { phase; lo = !start; hi = stop; boundary } :: !acc;
     start := stop + 1
-  done;
-  !acc
-
-(* Ops for one descendant partition, mirroring
-   [Parallel.scan_desc_partition] phase for phase. *)
-let desc_partition_ops ~mode ~sizes ~morsel_size (p : Sj.partition) acc =
-  let boundary = p.Sj.boundary_post in
-  let c = p.Sj.scan_from - 1 in
-  match mode with
-  | Sj.No_skipping ->
-    chunked ~morsel_size ~lo:p.Sj.scan_from ~hi:p.Sj.scan_to
-      (fun lo hi -> Scan_desc { boundary; lo; hi; skip = false })
-      acc
-  | Sj.Skipping ->
-    Scan_desc { boundary; lo = p.Sj.scan_from; hi = p.Sj.scan_to; skip = true } :: acc
-  | Sj.Estimation ->
-    let copy_to = min p.Sj.scan_to boundary in
-    let acc =
-      if copy_to >= p.Sj.scan_from then
-        chunked ~morsel_size ~lo:p.Sj.scan_from ~hi:copy_to (fun lo hi -> Copy { lo; hi }) acc
-      else acc
-    in
-    let tail_from = max p.Sj.scan_from (copy_to + 1) in
-    if tail_from <= p.Sj.scan_to then
-      Scan_desc { boundary; lo = tail_from; hi = p.Sj.scan_to; skip = true } :: acc
-    else acc
-  | Sj.Exact_size ->
-    let copy_to = min p.Sj.scan_to (c + sizes.(c)) in
-    let acc =
-      if copy_to >= p.Sj.scan_from then
-        chunked ~morsel_size ~lo:p.Sj.scan_from ~hi:copy_to (fun lo hi -> Copy { lo; hi }) acc
-      else acc
-    in
-    if p.Sj.scan_to > copy_to then Tally_skip (p.Sj.scan_to - copy_to) :: acc else acc
-
-(* Ops for one ancestor partition.  Only [No_skipping] visits every node
-   (hop 0), so only it may be chunked; the skip modes hop by
-   [post(i) - i] or [size(i)] — data-dependent, whole-partition. *)
-let anc_partition_ops ~mode ~morsel_size (p : Sj.partition) acc =
-  let boundary = p.Sj.boundary_post in
-  match mode with
-  | Sj.No_skipping ->
-    chunked ~morsel_size ~lo:p.Sj.scan_from ~hi:p.Sj.scan_to
-      (fun lo hi -> Scan_anc { boundary; lo; hi; hop = Hop_none })
-      acc
-  | Sj.Skipping | Sj.Estimation ->
-    Scan_anc { boundary; lo = p.Sj.scan_from; hi = p.Sj.scan_to; hop = Hop_post } :: acc
-  | Sj.Exact_size ->
-    Scan_anc { boundary; lo = p.Sj.scan_from; hi = p.Sj.scan_to; hop = Hop_size } :: acc
+  done
 
 (* Greedy grouping: consecutive ops share a morsel until its weight
    reaches [morsel_size].  Ops stay in partition order and every op
@@ -359,55 +307,19 @@ let group_ops ~morsel_size ops =
 (* Morsel execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_op ~doc ~posts ~sizes ~kinds out stats = function
-  | Copy { lo; hi } ->
-    let appended = Doc.append_nonattr_range doc out ~lo ~hi in
-    stats.Stats.copied <- stats.Stats.copied + (hi - lo + 1);
-    stats.Stats.appended <- stats.Stats.appended + appended
-  | Tally_skip n -> stats.Stats.skipped <- stats.Stats.skipped + n
-  | Scan_desc { boundary; lo; hi; skip } ->
-    let i = ref lo in
-    let break = ref false in
-    while (not !break) && !i <= hi do
-      stats.Stats.scanned <- stats.Stats.scanned + 1;
-      if posts.(!i) < boundary then begin
-        if kinds.(!i) <> Doc.Attribute then begin
-          Int_col.append_unit out !i;
-          stats.Stats.appended <- stats.Stats.appended + 1
-        end;
-        incr i
-      end
-      else if skip then begin
-        stats.Stats.skipped <- stats.Stats.skipped + (hi - !i);
-        break := true
-      end
-      else incr i
-    done
-  | Scan_anc { boundary; lo; hi; hop } ->
-    let i = ref lo in
-    while !i <= hi do
-      stats.Stats.scanned <- stats.Stats.scanned + 1;
-      if posts.(!i) > boundary then begin
-        Int_col.append_unit out !i;
-        stats.Stats.appended <- stats.Stats.appended + 1;
-        incr i
-      end
-      else begin
-        let dist =
-          match hop with
-          | Hop_none -> 0
-          | Hop_post -> max 0 (posts.(!i) - !i)
-          | Hop_size -> sizes.(!i)
-        in
-        let dist = min dist (hi - !i) in
-        stats.Stats.skipped <- stats.Stats.skipped + dist;
-        i := !i + dist + 1
-      end
-    done
-
 (* Run all grouped morsels of one join through the pool and merge the
    per-morsel buffers and tallies deterministically (morsel order). *)
-let run_morsels exec pool ops bounds ~doc ~posts ~sizes ~kinds =
+let run_morsels exec pool ~morsel_size doc ~desc partitions =
+  let mode = exec.Exec.mode in
+  let ops = ref [] in
+  let split phase ~lo ~hi ~boundary = split ~mode ~morsel_size ops phase ~lo ~hi ~boundary in
+  List.iter
+    (fun { Sj.scan_from = lo; scan_to = hi; boundary_post = boundary } ->
+      if desc then Sj.desc_phases ~mode doc ~lo ~hi ~boundary split
+      else split Sj.Anc_scan ~lo ~hi ~boundary)
+    partitions;
+  let ops = Array.of_list (List.rev !ops) in
+  let bounds = group_ops ~morsel_size ops in
   let nm = Array.length bounds in
   if nm = 0 then Nodeseq.empty
   else begin
@@ -419,7 +331,8 @@ let run_morsels exec pool ops bounds ~doc ~posts ~sizes ~kinds =
       let lo, hi = bounds.(m) in
       let out = outs.(m) and stats = tallies.(m) in
       for o = lo to hi - 1 do
-        run_op ~doc ~posts ~sizes ~kinds out stats ops.(o)
+        let op = ops.(o) in
+        Sj.run_phase ~mode doc stats out op.phase ~lo:op.lo ~hi:op.hi ~boundary:op.boundary
       done
     in
     if Exec.tracing exec then Exec.annot exec "morsels" (string_of_int nm);
@@ -441,34 +354,12 @@ let ensure_exec = function None -> Exec.make () | Some e -> e
 let desc ?pool ?(morsel_size = default_morsel_size) ?exec doc context =
   let exec = ensure_exec exec in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
-  let mode = exec.Exec.mode in
   (* prune once on the submitting thread, exactly like the serial join *)
   let context = Sj.prune_desc ~exec doc context in
-  let partitions = Sj.desc_partitions_pruned doc context in
-  let sizes = Doc.size_array doc in
-  let ops =
-    Array.of_list
-      (List.rev
-         (List.fold_left
-            (fun acc p -> desc_partition_ops ~mode ~sizes ~morsel_size p acc)
-            [] partitions))
-  in
-  let bounds = group_ops ~morsel_size ops in
-  run_morsels exec pool ops bounds ~doc ~posts:(Doc.post_array doc) ~sizes
-    ~kinds:(Doc.kind_array doc)
+  run_morsels exec pool ~morsel_size doc ~desc:true (Sj.desc_partitions_pruned doc context)
 
 let anc ?pool ?(morsel_size = default_morsel_size) ?exec doc context =
   let exec = ensure_exec exec in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
-  let mode = exec.Exec.mode in
   let context = Sj.prune_anc ~exec doc context in
-  let partitions = Sj.anc_partitions_pruned doc context in
-  let sizes = Doc.size_array doc in
-  let ops =
-    Array.of_list
-      (List.rev
-         (List.fold_left (fun acc p -> anc_partition_ops ~mode ~morsel_size p acc) [] partitions))
-  in
-  let bounds = group_ops ~morsel_size ops in
-  run_morsels exec pool ops bounds ~doc ~posts:(Doc.post_array doc) ~sizes
-    ~kinds:(Doc.kind_array doc)
+  run_morsels exec pool ~morsel_size doc ~desc:false (Sj.anc_partitions_pruned doc context)

@@ -1,4 +1,3 @@
-module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Int_col = Scj_bat.Int_col
 module Stats = Scj_stats.Stats
@@ -6,75 +5,6 @@ module Exec = Scj_trace.Exec
 module Sj = Scj_core.Staircase
 
 let ensure_exec = function None -> Exec.make () | Some e -> e
-
-(* Evaluate one descendant partition into a private buffer.  The counter
-   accounting mirrors Scj_core.Staircase.desc line by line — copy phases
-   are bulk range fills over the attribute prefix-sum column with one
-   [copied]/[appended] update per phase — so the merged per-worker
-   counters are indistinguishable from a serial run. *)
-let scan_desc_partition ~mode ~doc ~posts ~sizes ~kinds (p : Sj.partition) out stats =
-  let boundary = p.Sj.boundary_post in
-  let c = p.Sj.scan_from - 1 in
-  let scan_phase ~skip from =
-    let i = ref from in
-    let break = ref false in
-    while (not !break) && !i <= p.Sj.scan_to do
-      stats.Stats.scanned <- stats.Stats.scanned + 1;
-      if posts.(!i) < boundary then begin
-        if kinds.(!i) <> Doc.Attribute then begin
-          Int_col.append_unit out !i;
-          stats.Stats.appended <- stats.Stats.appended + 1
-        end;
-        incr i
-      end
-      else if skip then begin
-        stats.Stats.skipped <- stats.Stats.skipped + (p.Sj.scan_to - !i);
-        break := true
-      end
-      else incr i
-    done
-  in
-  let copy_phase upto =
-    if upto >= p.Sj.scan_from then begin
-      let appended = Doc.append_nonattr_range doc out ~lo:p.Sj.scan_from ~hi:upto in
-      stats.Stats.copied <- stats.Stats.copied + (upto - p.Sj.scan_from + 1);
-      stats.Stats.appended <- stats.Stats.appended + appended
-    end
-  in
-  match mode with
-  | Sj.No_skipping -> scan_phase ~skip:false p.Sj.scan_from
-  | Sj.Skipping -> scan_phase ~skip:true p.Sj.scan_from
-  | Sj.Estimation ->
-    let copy_to = min p.Sj.scan_to boundary in
-    copy_phase copy_to;
-    scan_phase ~skip:true (max p.Sj.scan_from (copy_to + 1))
-  | Sj.Exact_size ->
-    let copy_to = min p.Sj.scan_to (c + sizes.(c)) in
-    copy_phase copy_to;
-    stats.Stats.skipped <- stats.Stats.skipped + (p.Sj.scan_to - copy_to)
-
-let scan_anc_partition ~mode ~posts ~sizes (p : Sj.partition) out stats =
-  let boundary = p.Sj.boundary_post in
-  let i = ref p.Sj.scan_from in
-  while !i <= p.Sj.scan_to do
-    stats.Stats.scanned <- stats.Stats.scanned + 1;
-    if posts.(!i) > boundary then begin
-      Int_col.append_unit out !i;
-      stats.Stats.appended <- stats.Stats.appended + 1;
-      incr i
-    end
-    else begin
-      let hop =
-        match mode with
-        | Sj.No_skipping -> 0
-        | Sj.Skipping | Sj.Estimation -> max 0 (posts.(!i) - !i)
-        | Sj.Exact_size -> sizes.(!i)
-      in
-      let hop = min hop (p.Sj.scan_to - !i) in
-      stats.Stats.skipped <- stats.Stats.skipped + hop;
-      i := !i + hop + 1
-    end
-  done
 
 (* Load-balanced contiguous chunking: partition [k] costs roughly its scan
    length (the nodes the worker will touch), not 1, so boundaries are cut
@@ -101,7 +31,7 @@ let weighted_boundaries parts workers =
   done;
   bounds
 
-let run_partitions exec scan partitions =
+let run_partitions exec doc ~desc partitions =
   let parts = Array.of_list partitions in
   let n = Array.length parts in
   if n = 0 then Nodeseq.empty
@@ -121,11 +51,17 @@ let run_partitions exec scan partitions =
     let results = Array.init workers (fun _ -> (Int_col.create ~capacity:256 (), Stats.create ())) in
     Morsel.Pool.submit (Morsel.Pool.shared ()) ~width:workers ~n:workers (fun w ->
         let out, stats = results.(w) in
+        let mode = exec.Exec.mode in
+        let run phase ~lo ~hi ~boundary =
+          Sj.run_phase ~mode doc stats out phase ~lo ~hi ~boundary
+        in
         for k = bounds.(w) to bounds.(w + 1) - 1 do
           (* the cancellation hook must be domain-safe (see Exec): every
              worker polls it between partition scans *)
           Exec.checkpoint exec;
-          scan parts.(k) out stats
+          let { Sj.scan_from = lo; scan_to = hi; boundary_post = boundary } = parts.(k) in
+          if desc then Sj.desc_phases ~mode doc ~lo ~hi ~boundary run
+          else run Sj.Anc_scan ~lo ~hi ~boundary
         done);
     Array.iter (fun (_, stats) -> Stats.add exec.Exec.stats stats) results;
     let total = Array.fold_left (fun acc (c, _) -> acc + Int_col.length c) 0 results in
@@ -145,22 +81,13 @@ let default_domains () = Exec.default_domains ()
 
 let desc ?exec doc context =
   let exec = ensure_exec exec in
-  let mode = exec.Exec.mode in
   (* prune on the coordinating thread so [pruned] is counted exactly once,
      like the serial join does; the partitions are then built directly from
      the pruned staircase — the O(n) prune runs exactly once per join *)
   let context = Sj.prune_desc ~exec doc context in
-  let partitions = Sj.desc_partitions_pruned doc context in
-  let posts = Doc.post_array doc in
-  let sizes = Doc.size_array doc in
-  let kinds = Doc.kind_array doc in
-  run_partitions exec (scan_desc_partition ~mode ~doc ~posts ~sizes ~kinds) partitions
+  run_partitions exec doc ~desc:true (Sj.desc_partitions_pruned doc context)
 
 let anc ?exec doc context =
   let exec = ensure_exec exec in
-  let mode = exec.Exec.mode in
   let context = Sj.prune_anc ~exec doc context in
-  let partitions = Sj.anc_partitions_pruned doc context in
-  let posts = Doc.post_array doc in
-  let sizes = Doc.size_array doc in
-  run_partitions exec (scan_anc_partition ~mode ~posts ~sizes) partitions
+  run_partitions exec doc ~desc:false (Sj.anc_partitions_pruned doc context)

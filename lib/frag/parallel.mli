@@ -8,8 +8,10 @@
     concatenated per-partition outputs are already in document order.
 
     This module realizes that strategy with OCaml 5 domains.  Workers share
-    the read-only encoding columns; each one owns its result buffer {e and}
-    its own {!Scj_stats.Stats.t}, merged into [exec.stats] with
+    the read-only encoding columns and run each partition through the
+    serial join's own partition kernels ({!Scj_core.Staircase.run_phase});
+    each one owns its result buffer {e and} its own
+    {!Scj_stats.Stats.t}, merged into [exec.stats] with
     {!Scj_stats.Stats.add} after the join — a parallel run reports exactly
     the counters of the equivalent serial {!Scj_core.Staircase} call.
 
@@ -18,10 +20,8 @@
     approximate an equal share of the touched nodes, so one huge partition
     no longer serializes the join.  The context is pruned exactly once (on
     the coordinating thread), partitions are built from the pruned
-    staircase directly, copy phases use the bulk attribute-prefix kernel
-    of {!Scj_encoding.Doc.append_nonattr_range}, and the final merge blits
-    each worker's buffer prefix straight into the result array — no
-    intermediate copies.
+    staircase directly, and the final merge blits each worker's buffer
+    prefix straight into the result array — no intermediate copies.
 
     The signatures mirror the serial joins: one optional
     {!Scj_trace.Exec.t} carries the skipping variant, the counters and the

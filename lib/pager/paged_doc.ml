@@ -3,6 +3,7 @@ module Nodeseq = Scj_encoding.Nodeseq
 module Int_col = Scj_bat.Int_col
 module Stats = Scj_stats.Stats
 module Exec = Scj_trace.Exec
+module Sj = Scj_core.Staircase
 
 type t = {
   pool : Buffer_pool.t;
@@ -17,9 +18,9 @@ type t = {
 
 let ensure_exec = function None -> Exec.make () | Some e -> e
 
-(* One query's working set: a scan holds a post page pinned while the
-   attribute test reads a prefix page, and the size column may be live as
-   well — three simultaneously needed columns per stripe. *)
+(* One query's working set: the index plans hold a post page pinned
+   while the attribute test reads a prefix page, and the size column may
+   be live as well — three simultaneously needed columns per stripe. *)
 let min_frames_per_stripe = 3
 
 let pages_for ~page_ints ints = (ints + page_ints - 1) / page_ints
@@ -123,60 +124,51 @@ let size t i =
   check t i "size";
   read t (t.size_base + i)
 
-(* Scan the post column over ranks [from, upto]: pin each page once and
-   run [f ~base data ~lo ~hi] over the page's slice of the range, where
-   [data.(i - base)] is post i.  [f] returns the next rank to visit;
-   returning a rank past [hi] hops (pages wholly hopped over are never
-   pinned), returning max_int stops the scan.  One latch acquisition and
-   one hit/miss per page instead of one per integer. *)
-let scan_posts t ~from ~upto f =
+(* Visit ranks [from, upto] of the column extent starting at integer
+   [extent]: pin each page once and run [f ~base data ~lo ~hi] over the
+   page's slice of the range, where [data.(i - base)] is rank i's entry.
+   [f] returns the next rank to visit; returning a rank past [hi] hops
+   (pages wholly hopped over are never pinned), returning max_int stops
+   the visit.  One latch acquisition and one hit/miss per page instead
+   of one per integer. *)
+let visit t ~extent ~from ~upto f =
   let page_ints = Buffer_pool.page_ints t.pool in
-  (* [off] is page-aligned, so rank-space page boundaries coincide with
-     pool-page boundaries shifted by [base_page] *)
-  let base_page = t.off / page_ints in
+  (* extents are page-aligned, so rank-space page boundaries coincide
+     with pool-page boundaries shifted by the extent's first page *)
+  let first_page = extent / page_ints in
   let i = ref from in
   while !i <= upto do
     let base = !i / page_ints * page_ints in
     let hi = min upto (base + page_ints - 1) in
     let next =
       Buffer_pool.with_page ?tally:t.tally t.pool
-        (base_page + (!i / page_ints))
+        (first_page + (!i / page_ints))
         (fun data -> f ~base data ~lo:!i ~hi)
     in
     i := max next (!i + 1)
   done
 
-(* Bulk copy-phase kernel over the paged prefix column: append every
-   non-attribute rank in [lo, hi] with range fills, locating attribute
-   runs by binary search on the prefix sums.  Page faults touch the
-   prefix column only.  Returns the number of ranks appended. *)
-let append_nonattr_range t col ~lo ~hi =
+(* Append the non-attribute ranks in [lo, hi] and return how many.  Two
+   point reads of the prefix column settle the count and the common
+   attribute-free range, which then costs no further page; otherwise
+   each prefix page is pinned once and the shared run finder runs on its
+   slice.  A rank's attribute flag spans prefix entries i and i + 1, so
+   the rank just before a page boundary is settled on the next page
+   against the entry carried over from the previous one. *)
+let append_nonattr t out ~lo ~hi =
   if hi < lo then 0
   else begin
-    let appended = (hi - lo + 1) - (prefix t (hi + 1) - prefix t lo) in
-    let i = ref lo in
-    while !i <= hi do
-      let base = prefix t !i in
-      if prefix t (hi + 1) = base then begin
-        Int_col.append_range col ~lo:!i ~hi;
-        i := hi + 1
-      end
-      else begin
-        (* smallest j in (!i, hi+1] with prefix j > base: first attribute
-           of the range sits at j - 1 *)
-        let l = ref (!i + 1) and r = ref (hi + 1) in
-        while !l < !r do
-          let mid = (!l + !r) / 2 in
-          if prefix t mid > base then r := mid else l := mid + 1
-        done;
-        let a = !l - 1 in
-        if a > !i then Int_col.append_range col ~lo:!i ~hi:(a - 1);
-        let j = ref a in
-        while !j <= hi && prefix t (!j + 1) > prefix t !j do incr j done;
-        i := !j
-      end
-    done;
-    appended
+    let first = prefix t lo and last = prefix t (hi + 1) in
+    if last = first then Int_col.append_range out ~lo ~hi
+    else begin
+      let carry = ref first in
+      visit t ~extent:t.prefix_base ~from:lo ~upto:(hi + 1) (fun ~base data ~lo:e0 ~hi:e1 ->
+          if e0 > lo && data.(0) = !carry then Int_col.append_unit out (e0 - 1);
+          Doc.append_nonattr_runs data ~off:base out ~lo:e0 ~hi:e1;
+          carry := data.(e1 - base);
+          e1 + 1)
+    end;
+    hi - lo + 1 - (last - first)
   end
 
 let prune ?stats t context =
@@ -196,15 +188,15 @@ let prune ?stats t context =
     context;
   Nodeseq.of_sorted_array (Int_col.to_array out)
 
-(* staircase join with estimation-based skipping (Algorithm 4) over the
-   paged columns: the comparison-free copy phase of [post c - pre c]
-   nodes runs as bulk range fills against the prefix column, then the
-   short scan phase (at most [height] comparisons) reads the post
-   column until the boundary is crossed.  Work counters mirror the
-   in-memory [Staircase.desc] in [Estimation] mode line by line, so the
-   differential harness can hold the two implementations' counters
-   against each other; [Exec.checkpoint] runs between partition scans —
-   the abort points for per-query deadlines. *)
+(* Staircase join with estimation-based skipping (Algorithm 4) over the
+   paged columns.  Per partition the comparison-free copy phase of
+   [post c - pre c] nodes runs against the prefix column only, then the
+   short scan phase (at most [height] comparisons) runs the shared
+   descendant-scan kernel over the post pages until the boundary is
+   crossed, and its matches are copied like the copy phase.  The kernels
+   and counters are the in-memory join's, in [Estimation] mode;
+   [Exec.checkpoint] runs between partitions, never with a page
+   pinned. *)
 let desc ?exec t context =
   let exec = ensure_exec exec in
   let stats = exec.Exec.stats in
@@ -217,33 +209,15 @@ let desc ?exec t context =
     let boundary = post t c in
     let scan_to = if k + 1 < m then Nodeseq.get context (k + 1) - 1 else t.n - 1 in
     let copy_to = min scan_to boundary in
-    if copy_to >= c + 1 then begin
-      let appended = append_nonattr_range t result ~lo:(c + 1) ~hi:copy_to in
-      stats.Stats.copied <- stats.Stats.copied + (copy_to - c);
-      stats.Stats.appended <- stats.Stats.appended + appended
-    end;
+    if copy_to > c then
+      Sj.count_copy stats ~lo:(c + 1) ~hi:copy_to
+        ~appended:(append_nonattr t result ~lo:(c + 1) ~hi:copy_to);
     let from = max (c + 1) (copy_to + 1) in
-    scan_posts t ~from ~upto:scan_to (fun ~base data ~lo ~hi ->
-        let i = ref lo in
-        let next = ref (!i + 1) in
-        let continue_ = ref true in
-        while !continue_ && !i <= hi do
-          stats.Stats.scanned <- stats.Stats.scanned + 1;
-          if data.(!i - base) < boundary then begin
-            if not (is_attribute t !i) then begin
-              Int_col.append_unit result !i;
-              stats.Stats.appended <- stats.Stats.appended + 1
-            end;
-            incr i;
-            next := !i
-          end
-          else begin
-            stats.Stats.skipped <- stats.Stats.skipped + (scan_to - !i);
-            next := max_int;
-            continue_ := false
-          end
-        done;
-        !next)
+    let stop = ref from in
+    visit t ~extent:t.off ~from ~upto:scan_to (fun ~base data ~lo ~hi ->
+        stop := Sj.desc_scan ~skip:true stats data ~off:base ~lo ~hi ~limit:scan_to ~boundary;
+        if !stop <= hi then max_int else hi + 1);
+    stats.Stats.appended <- stats.Stats.appended + append_nonattr t result ~lo:from ~hi:(!stop - 1)
   done;
   Nodeseq.of_sorted_array (Int_col.to_array result)
 
@@ -269,7 +243,7 @@ let index_desc ?exec t context =
         if mid <= c then lo := mid + 1 else hi := mid
       done;
       let stop = min (t.n - 1) (post_c + t.height) in
-      scan_posts t ~from:(c + 1) ~upto:stop (fun ~base data ~lo ~hi ->
+      visit t ~extent:t.off ~from:(c + 1) ~upto:stop (fun ~base data ~lo ~hi ->
           for i = lo to hi do
             stats.Stats.scanned <- stats.Stats.scanned + 1;
             if data.(i - base) < post_c && not (is_attribute t i) then begin
@@ -316,25 +290,10 @@ let anc ?exec t context =
     let c = Nodeseq.get context k in
     let boundary = post t c in
     let scan_from = if k = 0 then 0 else Nodeseq.get context (k - 1) + 1 in
-    scan_posts t ~from:scan_from ~upto:(c - 1) (fun ~base data ~lo ~hi ->
-        let i = ref lo in
-        while !i <= hi do
-          stats.Stats.scanned <- stats.Stats.scanned + 1;
-          let p = data.(!i - base) in
-          if p > boundary then begin
-            Int_col.append_unit result !i;
-            stats.Stats.appended <- stats.Stats.appended + 1;
-            incr i
-          end
-          else begin
-            (* [!i]'s whole subtree lies in preceding(c): hop over it by
-               the Equation-(1) lower bound *)
-            let hop = min (max 0 (p - !i)) (c - 1 - !i) in
-            stats.Stats.skipped <- stats.Stats.skipped + hop;
-            i := !i + hop + 1
-          end
-        done;
-        !i)
+    (* hops by the Equation-(1) lower bound never read the size column *)
+    visit t ~extent:t.off ~from:scan_from ~upto:(c - 1) (fun ~base data ~lo ~hi ->
+        Sj.anc_scan ~mode:Sj.Estimation stats ~posts:data ~sizes:[||] ~off:base ~lo ~hi
+          ~limit:(c - 1) ~boundary result)
   done;
   Nodeseq.of_sorted_array (Int_col.to_array result)
 
@@ -348,7 +307,7 @@ let index_anc ?exec t context =
       stats.Stats.index_probes <- stats.Stats.index_probes + 1;
       let post_c = post t c in
       (* the index delimits only on pre: the whole prefix is scanned *)
-      scan_posts t ~from:0 ~upto:(c - 1) (fun ~base data ~lo ~hi ->
+      visit t ~extent:t.off ~from:0 ~upto:(c - 1) (fun ~base data ~lo ~hi ->
           for i = lo to hi do
             stats.Stats.scanned <- stats.Stats.scanned + 1;
             if data.(i - base) > post_c then begin

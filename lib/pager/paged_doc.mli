@@ -9,14 +9,21 @@
     The attribute column is stored as prefix sums (n + 1 entries, entry
     [j] = number of attributes with [pre < j]), so attribute tests cost
     two reads and the copy phase can emit whole attribute-free runs with
-    bulk fills while faulting {e only} prefix pages.  The two axis-step
-    implementations mirror the in-memory ones:
+    bulk fills while faulting {e only} prefix pages.  The staircase joins
+    run the in-memory join's partition kernels
+    ({!Scj_core.Staircase.desc_scan}, {!Scj_core.Staircase.anc_scan} and
+    the run finder {!Scj_encoding.Doc.append_nonattr_runs}) a page at a
+    time: each post or prefix page a partition needs is pinned once per
+    visit and the kernel runs over it, so a join's pool accesses grow
+    with the pages it covers, not with the nodes or the binary-search
+    probes.
 
     - {!desc} is the staircase join with estimation-based skipping: a
       comparison-free copy phase of [post c - pre c] nodes against the
-      prefix column, then a short sequential scan (at most [height]
-      post-column comparisons) — page faults are bounded by the pages
-      the result and context actually live on;
+      prefix column (two point reads settle an attribute-free range),
+      then a short sequential scan (at most [height] post-column
+      comparisons) — page faults are bounded by the pages the result
+      and context actually live on;
     - {!index_desc} is the tree-unaware per-context-node plan: for each
       context node a binary search (random probes) plus a bounded range
       scan — the access pattern of the Fig. 3 index plan.
@@ -24,9 +31,9 @@
     Both return exactly the same node sequence; the interesting output is
     {!Buffer_pool.stats}.
 
-    The joins take an optional {!Scj_trace.Exec.t}: work counters mirror
-    the in-memory estimation-mode staircase join line for line (so the
-    differential harness can hold the two against each other), and
+    The joins take an optional {!Scj_trace.Exec.t}: the shared kernels
+    book the work counters, so they equal the in-memory
+    estimation-mode staircase join's, and
     {!Scj_trace.Exec.checkpoint} runs between partition scans — never
     while a page is pinned — so a deadline abort always leaves the pool
     with zero outstanding pins.  A [t] is safe to share across reader

@@ -244,11 +244,12 @@ let n_nodes t =
 
 let height t = match t.doc with Some d when t.pending <> [] -> Doc.height d | _ -> t.geo.height
 
-(* read + checksum-verify one file page; every byte is counted *)
-let read_file_page t fpage =
+(* read + checksum-verify one file page into [buf] (a fresh buffer by
+   default); every byte is counted *)
+let read_file_page ?buf t fpage =
   let page_ints = t.geo.page_ints in
   let st = stride ~page_ints in
-  let b = Bytes.create st in
+  let b = match buf with Some b -> b | None -> Bytes.create st in
   let got = t.pages.Io.pread ~pos:(fpage * st) b 0 st in
   Atomic.fetch_and_add t.bytes_read got |> ignore;
   if got < st then
@@ -259,14 +260,21 @@ let read_file_page t fpage =
 (* decode a column page into ints; [len] trims the pool's last page *)
 let ints_of_page b len = Array.init len (fun i -> get_int b (8 * i))
 
-(* the Buffer_pool store: pool page p lives on file page p + 1 *)
+(* the Buffer_pool store: pool page p lives on file page p + 1.  A
+   fault reads into the one spare buffer, taken and returned with an
+   atomic exchange, so concurrent faults never share it (a fault that
+   finds it taken reads into a fresh one) and a stream of faults does
+   not allocate a page-sized buffer each. *)
 let pool_store t =
   let g = t.geo in
   let length = pool_length g in
+  let spare = Atomic.make None in
   Buffer_pool.Store.of_fn ~page_ints:g.page_ints ~length (fun p ->
-      let b = read_file_page t (p + 1) in
+      let b = read_file_page ?buf:(Atomic.exchange spare None) t (p + 1) in
       let len = min g.page_ints (length - (p * g.page_ints)) in
-      ints_of_page b len)
+      let ints = ints_of_page b len in
+      Atomic.set spare (Some b);
+      ints)
 
 let default_capacity g = max 24 (pool_pages g / 10)
 

@@ -654,8 +654,17 @@ let test_copy_phase_avoids_post_pages () =
   (* capacity large enough that nothing is evicted *)
   let pd = Paged_doc.load ~page_ints ~capacity:1000 d in
   let root = Nodeseq.singleton 0 in
-  let result = Paged_doc.desc pd root in
+  let tally = Buffer_pool.Tally.create () in
+  let result = Paged_doc.desc (Paged_doc.with_tally pd tally) root in
   Alcotest.check nodeseq "matches in-memory desc" (Sj.desc d root) result;
+  (* page at a time: each prefix page is pinned once per visit, not once
+     per binary-search probe *)
+  let prefix_pages = (n + 1 + page_ints - 1) / page_ints in
+  let accesses = Buffer_pool.Tally.total tally in
+  check_bool
+    (Printf.sprintf "%d pool accesses <= 4 x %d prefix pages + 4" accesses prefix_pages)
+    true
+    (accesses <= (4 * prefix_pages) + 4);
   let pool = Paged_doc.pool pd in
   (* page 0 holds post(root) (touched by the prune); every other post page
      must stay untouched — the column extents are page-aligned, so no

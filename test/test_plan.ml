@@ -151,8 +151,11 @@ let xmark =
 let parse_ok s =
   match Scj_xpath.Parse.path s with Ok p -> p | Error e -> Alcotest.failf "parse %S: %s" s e
 
-let plan_string q =
-  let session = Eval.session (Lazy.force xmark) in
+(* The goldens pin the domain count: with more than one domain the
+   planner also costs the parallel and morsel executors, so a session
+   sized by the host's cores would change the rejected lists. *)
+let plan_string ?(domains = 1) q =
+  let session = Eval.session ~domains (Lazy.force xmark) in
   Plan.physical_to_string (Eval.path_plan session (parse_ok q))
 
 let golden_plan_q1 =
@@ -191,7 +194,33 @@ join: descendant-or-self::*
   rejected: sql-btree cost=99167, mpmgjn cost=13475, structjoin cost=13475, naive cost=6738
 |golden}
 
+(* Q1 at two domains: the same plan, with the two multi-domain
+   candidates costed on the unpushed scan by [plan_join] —
+   parallel = scan / 2 + 2 * spawn_cost (8192) and
+   morsel = scan / 2 + batch_cost (1024), where scan = touches + k * height
+   (height 11): step 1 is 6737 + 1 * 11 = 6748, so 19758 and 4398; step 2
+   is 264 + 28 * 11 = 572, so 16670 and 1310. *)
+let golden_plan_q1_two_domains =
+  {golden|source: document node (emulated at the root element)  [est card=1]
+join: descendant-or-self::profile
+  backend: staircase join (serial, estimation) + self
+  pushdown: yes (join over the fragment) -- tag fragment 'profile': 28 node(s) vs. estimated scan of 6737 node(s)
+  guide: exact card=28 over 1 path(s)
+  est: in=1 touches=6737 out=28 cost=39
+  rejected: staircase(parallel/estimation) cost=19758, staircase(morsel/estimation) cost=4398, sql-btree cost=99167, mpmgjn cost=13475, structjoin cost=13475, naive cost=6738, staircase(guide-partition) cost=39
+join: descendant::education
+  backend: staircase join (serial, estimation)
+  pushdown: yes (join over the fragment) -- tag fragment 'education': 13 node(s) vs. estimated scan of 264 node(s)
+  guide: exact card=13 over 1 path(s)
+  est: in=28 touches=264 out=13 cost=321
+  rejected: staircase(parallel/estimation) cost=16670, staircase(morsel/estimation) cost=1310, sql-btree cost=3008, mpmgjn cost=7002, structjoin cost=7002, naive cost=188664, staircase(guide-partition) cost=321
+|golden}
+
 let test_golden_q1 () = check_string "q1" golden_plan_q1 (plan_string "/descendant::profile/descendant::education")
+
+let test_golden_q1_two_domains () =
+  check_string "q1 at two domains" golden_plan_q1_two_domains
+    (plan_string ~domains:2 "/descendant::profile/descendant::education")
 
 (* the //keyword document-union special case fuses to one descendant join *)
 let test_golden_keyword () = check_string "//keyword" golden_plan_keyword (plan_string "//keyword")
@@ -204,7 +233,10 @@ let test_golden_wildcard () = check_string "/descendant::*" golden_plan_wild (pl
 (* ------------------------------------------------------------------ *)
 
 let test_wildcard_pushdown_impl () =
-  let session = Eval.session (Lazy.force xmark) in
+  (* one domain: from three on, the morsel candidate (6748 / 3 + 1024)
+     undercuts the pushed serial root step (3684) and drops the
+     pushdown *)
+  let session = Eval.session ~domains:1 (Lazy.force xmark) in
   (* taken from the root: the element view beats the full scan *)
   (match Eval.path_plan session (parse_ok "/descendant::*") with
   | Plan.P_step (_, { Plan.impl = Plan.Join { push = Plan.Push_elements; _ }; push_note = Some note; _ }) ->
@@ -273,6 +305,7 @@ let () =
       ( "golden plan trees",
         [
           Alcotest.test_case "Q1" `Quick test_golden_q1;
+          Alcotest.test_case "Q1 at two domains" `Quick test_golden_q1_two_domains;
           Alcotest.test_case "//keyword fusion" `Quick test_golden_keyword;
           Alcotest.test_case "wildcard element view" `Quick test_golden_wildcard;
         ] );

@@ -23,7 +23,9 @@ let xmark = lazy (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.confi
 
 let explain strategy path =
   let doc = Lazy.force xmark in
-  let session = Eval.session ~strategy doc in
+  (* one domain: more would add the parallel and morsel candidates to
+     auto's rejected list on multi-core hosts *)
+  let session = Eval.session ~domains:1 ~strategy doc in
   match Scj_xpath.Parse.path path with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok p -> Eval.explain session p

@@ -451,9 +451,10 @@ let test_cache_bound () =
 (* golden plans: EXPLAIN and --json for a compiled value join           *)
 (* ------------------------------------------------------------------ *)
 
+(* one domain, so the embedded path plans do not follow the host's cores *)
 let xmark_session =
   lazy
-    (Eval.session
+    (Eval.session ~domains:1
        (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.003 ()))))
 
 let xmark_join_query =
