@@ -634,8 +634,11 @@ let ablation () =
    same node sequence as every forced backend, must never do more work
    than the worst forced backend, and must beat the best forced backend
    on at least one query (the pushdown rewrite only the planner applies).
-   Work = scanned + copied + compared + index_nodes — the counters the
-   cost model estimates. *)
+   The last three queries exercise what only auto plans: predicates as
+   semijoins over tag fragments, and following/preceding over a tag
+   fragment; the forced backends evaluate them per node and by region
+   scan.  Work = scanned + copied + compared + index_nodes — the counters
+   the cost model estimates. *)
 let planner_bench () =
   header "planner: auto choice vs. forced backends (deterministic work counters)";
   let scale = List.fold_left max 0.0 (scales ()) in
@@ -645,6 +648,9 @@ let planner_bench () =
       "/descendant::profile/descendant::education";
       "/descendant::increase/ancestor::bidder";
       "//keyword";
+      "/descendant::bidder[descendant::increase]";
+      "//open_auction[bidder]";
+      "//closed_auction/preceding::person";
     ]
   in
   let forced =
@@ -669,11 +675,14 @@ let planner_bench () =
     | Plan.P_source _ -> []
     | Plan.P_step (inner, ps) ->
       chosen_backends inner
-      @ (match ps.Plan.impl with
-        | Plan.Join { backend; _ } -> [ Plan.backend_to_string backend ]
-        | Plan.Structural -> [ "structural" ]
-        | Plan.Select_self -> [ "select" ]
-        | Plan.Empty_result -> [ "empty" ])
+      @ [
+          (match ps.Plan.impl with
+          | Plan.Join { backend; _ } -> Plan.backend_to_string backend
+          | Plan.Structural -> "structural"
+          | Plan.Select_self -> "select"
+          | Plan.Empty_result -> "empty")
+          ^ if ps.Plan.semijoin then " + semijoin" else "";
+        ]
     | Plan.P_union parts -> [ String.concat " | " (List.map chain parts) ]
   and chain p = String.concat " -> " (chosen_backends p) in
   let parity = ref true in

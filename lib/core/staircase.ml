@@ -379,7 +379,8 @@ let preceding ?exec doc context =
 
 module View = struct
   type t = {
-    pres : int array;
+    seq : Nodeseq.t;
+    pres : int array;  (* the backing array of [seq] *)
     posts : int array;
     attr_prefix : int array;
         (* [attr_prefix.(i)] = number of attribute entries among
@@ -387,7 +388,8 @@ module View = struct
            [Doc.attr_prefix_array], for blit-able view copy phases *)
   }
 
-  let make doc pres posts =
+  let make doc seq posts =
+    let pres = Nodeseq.unsafe_array seq in
     let kinds = Doc.kind_array doc in
     let vn = Array.length pres in
     let attr_prefix = Array.make (vn + 1) 0 in
@@ -395,23 +397,22 @@ module View = struct
       attr_prefix.(i + 1) <-
         (attr_prefix.(i) + if kinds.(pres.(i)) = Doc.Attribute then 1 else 0)
     done;
-    { pres; posts; attr_prefix }
+    { seq; pres; posts; attr_prefix }
 
   let of_nodeseq doc seq =
     let doc_posts = Doc.post_array doc in
-    let pres = Nodeseq.to_array seq in
-    let posts = Array.map (fun pre -> doc_posts.(pre)) pres in
-    make doc pres posts
+    let posts = Array.map (fun pre -> doc_posts.(pre)) (Nodeseq.unsafe_array seq) in
+    make doc seq posts
 
   let of_doc doc =
     let n = Doc.n_nodes doc in
-    make doc (Array.init n (fun i -> i)) (Array.copy (Doc.post_array doc))
+    make doc (Nodeseq.of_range ~lo:0 ~hi:(n - 1)) (Array.copy (Doc.post_array doc))
 
   let of_tag doc name = of_nodeseq doc (Nodeseq.of_sorted_array (Doc.tag_positions doc name))
 
   let length v = Array.length v.pres
 
-  let to_nodeseq v = Nodeseq.of_sorted_array (Array.copy v.pres)
+  let to_nodeseq v = v.seq
 end
 
 (* Blit copy kernel over a view window: append the pre ranks of the
@@ -530,6 +531,78 @@ let anc_view ?exec doc view context =
     done;
     Nodeseq.of_sorted_array (Int_col.to_array result)
   end
+
+(* following/preceding over a view: the context prunes to one node c as
+   in {!following}/{!preceding}, and the region query reads only the view
+   entries on the right side of c. *)
+let following_view ?exec doc view context =
+  let exec = ensure_exec exec in
+  let mode = exec.Exec.mode and stats = exec.Exec.stats in
+  match Nodeseq.first (prune_following_st stats doc context) with
+  | None -> Nodeseq.empty
+  | Some c ->
+    Exec.checkpoint exec;
+    let vn = View.length view in
+    let vposts = view.View.posts in
+    let post_c = (Doc.post_array doc).(c) in
+    let lo = view_lower_bound view (c + 1) in
+    (* c's descendants open the window: hop over the guaranteed ones (pre
+       <= post c by Equation 1, or the exact subtree), then compare *)
+    let from =
+      match mode with
+      | No_skipping -> lo
+      | Skipping | Estimation -> max lo (view_lower_bound view (post_c + 1))
+      | Exact_size -> max lo (view_lower_bound view (c + Doc.size doc c + 1))
+    in
+    stats.Stats.skipped <- stats.Stats.skipped + (from - lo);
+    let i = ref from in
+    while !i < vn && vposts.(!i) < post_c do
+      stats.Stats.scanned <- stats.Stats.scanned + 1;
+      incr i
+    done;
+    let result = Int_col.create ~capacity:64 () in
+    let appended = copy_view_run view ~pres:view.View.pres result !i vn in
+    (match mode with
+    | No_skipping ->
+      (* Algorithm 2 compares the rest of the window too *)
+      stats.Stats.scanned <- stats.Stats.scanned + (vn - !i);
+      stats.Stats.appended <- stats.Stats.appended + appended
+    | Skipping | Estimation | Exact_size -> count_copy stats ~lo:!i ~hi:(vn - 1) ~appended);
+    Nodeseq.of_sorted_array (Int_col.to_array result)
+
+let preceding_view ?exec doc view context =
+  let exec = ensure_exec exec in
+  let stats = exec.Exec.stats in
+  match Nodeseq.first (prune_preceding_st stats doc context) with
+  | None -> Nodeseq.empty
+  | Some c ->
+    Exec.checkpoint exec;
+    let parents = Doc.parent_array doc in
+    let pres = view.View.pres in
+    let hi = view_lower_bound view c in
+    let result = Int_col.create ~capacity:64 () in
+    let copy lo hi =
+      if hi > lo then
+        count_copy stats ~lo ~hi:(hi - 1) ~appended:(copy_view_run view ~pres result lo hi)
+    in
+    (* the entries before c are its preceding nodes and at most [height]
+       ancestors: copy the runs between the ancestors the view holds *)
+    let rec ancestors a acc = if a < 0 then acc else ancestors parents.(a) (a :: acc) in
+    let from =
+      List.fold_left
+        (fun from a ->
+          stats.Stats.scanned <- stats.Stats.scanned + 1;
+          let k = view_lower_bound view a in
+          if k < hi && pres.(k) = a then begin
+            copy from k;
+            k + 1
+          end
+          else from)
+        0
+        (ancestors parents.(c) [])
+    in
+    copy from hi;
+    Nodeseq.of_sorted_array (Int_col.to_array result)
 
 (* ------------------------------------------------------------------ *)
 (* per-node reference implementation                                    *)

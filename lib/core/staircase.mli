@@ -239,6 +239,7 @@ module View : sig
   (** Number of nodes in the view. *)
   val length : t -> int
 
+  (** The view's nodes, shared with the view (no copy). *)
   val to_nodeseq : t -> Nodeseq.t
 end
 
@@ -247,6 +248,19 @@ end
 val desc_view : ?exec:Exec.t -> Doc.t -> View.t -> Nodeseq.t -> Nodeseq.t
 
 val anc_view : ?exec:Exec.t -> Doc.t -> View.t -> Nodeseq.t -> Nodeseq.t
+
+(** [following_view doc view context] is {!following} restricted to the
+    nodes of [view]: the context prunes to one node [c], a binary search
+    finds [c]'s window in the view, and [c]'s descendants at its start
+    are skipped by post rank as [exec.mode] allows; the rest of the
+    window is copied. *)
+val following_view : ?exec:Exec.t -> Doc.t -> View.t -> Nodeseq.t -> Nodeseq.t
+
+(** [preceding_view doc view context] is {!preceding} restricted to the
+    nodes of [view]: the view entries before the pruned context node [c]
+    are copied, minus the at most [height] ancestors of [c], each found
+    by binary search. *)
+val preceding_view : ?exec:Exec.t -> Doc.t -> View.t -> Nodeseq.t -> Nodeseq.t
 
 (** {1 Per-node reference implementation}
 

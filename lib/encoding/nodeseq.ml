@@ -22,23 +22,29 @@ let of_range ~lo ~hi =
     Array.init (hi - lo + 1) (fun i -> lo + i)
   end
 
-let of_unsorted l =
-  let a = Array.of_list l in
-  Array.sort Int.compare a;
+(* Adopts [a], sorting and deduplicating it in place only when it is not
+   already strictly increasing. *)
+let of_array a =
   let n = Array.length a in
-  if n = 0 then empty
-  else begin
-    if a.(0) < 0 then invalid_arg "Nodeseq.of_unsorted: negative preorder rank";
-    let out = Array.make n a.(0) in
-    let j = ref 0 in
-    for i = 1 to n - 1 do
-      if a.(i) <> out.(!j) then begin
-        incr j;
-        out.(!j) <- a.(i)
-      end
-    done;
-    Array.sub out 0 (!j + 1)
-  end
+  let rec increasing i = i >= n || (a.(i - 1) < a.(i) && increasing (i + 1)) in
+  let a =
+    if increasing 1 then a
+    else begin
+      Array.sort Int.compare a;
+      let j = ref 0 in
+      for i = 1 to n - 1 do
+        if a.(i) <> a.(!j) then begin
+          incr j;
+          a.(!j) <- a.(i)
+        end
+      done;
+      Array.sub a 0 (!j + 1)
+    end
+  in
+  if n > 0 && a.(0) < 0 then invalid_arg "Nodeseq.of_array: negative preorder rank";
+  a
+
+let of_unsorted l = of_array (Array.of_list l)
 
 let of_list = of_unsorted
 
@@ -72,7 +78,18 @@ let iter = Array.iter
 
 let fold_left = Array.fold_left
 
-let filter p s = Array.of_seq (Seq.filter p (Array.to_seq s))
+(* One call of [p] per element, in order — callers pass closures that
+   book counters or advance merge cursors.  The kept elements collect in
+   an unboxed column off the OCaml heap; the result is allocated once,
+   at its exact length. *)
+let filter p s =
+  let n = Array.length s in
+  if n = 0 then s
+  else begin
+    let kept = Scj_bat.Int_col.create ~capacity:n () in
+    Array.iter (fun v -> if p v then Scj_bat.Int_col.append_unit kept v) s;
+    if Scj_bat.Int_col.length kept = n then s else Scj_bat.Int_col.to_array kept
+  end
 
 let union a b =
   let na = Array.length a and nb = Array.length b in

@@ -20,6 +20,12 @@ val of_sorted_array : int array -> t
     @raise Invalid_argument when [lo < 0] and the range is non-empty. *)
 val of_range : lo:int -> hi:int -> t
 
+(** [of_array a] adopts [a], sorting it and removing duplicates in place
+    only when it is not already strictly increasing; callers must not
+    use [a] afterwards.
+    @raise Invalid_argument on a negative preorder rank. *)
+val of_array : int array -> t
+
 (** [of_unsorted l] sorts and removes duplicates. *)
 val of_unsorted : int list -> t
 
@@ -51,6 +57,8 @@ val iter : (int -> unit) -> t -> unit
 
 val fold_left : ('a -> int -> 'a) -> 'a -> t -> 'a
 
+(** [filter p s] keeps the elements satisfying [p], calling [p] exactly
+    once per element, in document order. *)
 val filter : (int -> bool) -> t -> t
 
 (** Sorted merge without duplicates. *)

@@ -15,10 +15,18 @@ type predicate = {
   label : string;
   positional : bool;
   rank : int;
+  form : form option;
   eval : Exec.t -> node:int -> pos:int -> last:int -> bool;
 }
 
-type step = { axis : Axis.t; test : node_test; predicates : predicate list }
+and form =
+  | Exists of step list
+  | Value of step list * (int -> bool)
+  | And of form * form
+  | Or of form * form
+  | Not of form
+
+and step = { axis : Axis.t; test : node_test; predicates : predicate list }
 
 type source = Root | Document | Context
 
@@ -55,6 +63,8 @@ type phys_step = {
   push_note : string option;
   guide_note : string option;
   per_node : bool;
+  semijoin : bool;
+  pred_note : string option;
 }
 
 type physical =
@@ -107,6 +117,12 @@ let push_to_string = function
   | Push_tag t -> "tag '" ^ t ^ "'"
   | Push_elements -> "element view"
   | Push_guide key -> "guide partition " ^ key
+
+let predicate_mode ps =
+  if ps.per_node then "positional, per-context-node"
+  else if not ps.semijoin then "per-node filter"
+  else if List.for_all (fun p -> p.form <> None) ps.step.predicates then "semijoin"
+  else "semijoin, then per-node filter"
 
 let direction_to_string = function
   | Desc -> "descendant"
@@ -165,8 +181,10 @@ let render_step buf indent ps =
   | [] -> ()
   | preds ->
     add_line buf (indent + 2)
-      (Printf.sprintf "predicates: %d (%s)" (List.length preds)
-         (if ps.per_node then "positional, per-context-node" else "set-at-a-time filter")));
+      (Printf.sprintf "predicates: %d (%s)" (List.length preds) (predicate_mode ps)));
+  (match ps.pred_note with
+  | Some note -> add_line buf (indent + 2) ("semijoin: " ^ note)
+  | None -> ());
   add_line buf (indent + 2)
     (Printf.sprintf "est: in=%d touches=%d out=%d cost=%.0f" ps.est.card_in ps.est.touches
        ps.est.card_out ps.est.cost);
@@ -248,9 +266,10 @@ let rec physical_to_json = function
       | Some note -> ",\"guide\":" ^ json_str note
     in
     Printf.sprintf
-      "{\"op\":%s,\"step\":%s%s,\"per_node\":%b,\"est\":%s%s%s,\"input\":%s}" (json_str kind)
+      "{\"op\":%s,\"step\":%s%s,\"per_node\":%b,\"semijoin\":%b,\"est\":%s%s%s,\"input\":%s}"
+      (json_str kind)
       (json_str (step_to_string ps.step))
-      extra ps.per_node (est_to_json ps.est) alts guide (physical_to_json input)
+      extra ps.per_node ps.semijoin (est_to_json ps.est) alts guide (physical_to_json input)
   | P_union ps ->
     "{\"op\":\"union\",\"branches\":[" ^ String.concat "," (List.map physical_to_json ps) ^ "]}"
 

@@ -13,9 +13,10 @@
     tree ({!pp_physical}, {!physical_to_json}).
 
     The IR is deliberately independent of the XPath front-end: node tests
-    are mirrored structurally, and predicates arrive as opaque compiled
-    closures carrying only the metadata the planner needs (source label,
-    positionality, a cost rank for reordering). *)
+    are mirrored structurally, and predicates arrive as compiled closures
+    carrying the metadata the planner needs (source label, positionality,
+    a cost rank for reordering) and, for the predicates the planner can
+    evaluate set-at-a-time, a transparent {!form}. *)
 
 module Axis = Scj_encoding.Axis
 module Nodeseq = Scj_encoding.Nodeseq
@@ -38,10 +39,27 @@ type predicate = {
   label : string;  (** source rendering, for plan display *)
   positional : bool;  (** mentions position()/last() or is number-valued *)
   rank : int;  (** reordering key — lower runs first *)
+  form : form option;
+      (** the same predicate in transparent form, when it has one; the
+          closure stays authoritative wherever the planner keeps
+          per-node evaluation *)
   eval : Exec.t -> node:int -> pos:int -> last:int -> bool;
 }
 
-type step = { axis : Axis.t; test : node_test; predicates : predicate list }
+(** Transparent predicate bodies over relative downward paths: child,
+    attribute, descendant(-or-self) and self steps without predicates.
+    The planner may evaluate them as semijoins against the candidates. *)
+and form =
+  | Exists of step list  (** [[p]]: the path selects some node *)
+  | Value of step list * (int -> bool)
+      (** [[p op literal]], the literal on either side: some node of the
+          path passes the filter, which the front-end builds from its own
+          comparison semantics *)
+  | And of form * form
+  | Or of form * form
+  | Not of form
+
+and step = { axis : Axis.t; test : node_test; predicates : predicate list }
 
 type source =
   | Root  (** the root element as a singleton context *)
@@ -106,6 +124,11 @@ type phys_step = {
       (** how the dataguide sized this step — exact/upper-bound path
           cardinality, or why it fell back to flat statistics *)
   per_node : bool;  (** positional predicates force per-context-node eval *)
+  semijoin : bool;
+      (** the step's transparent predicates run set-at-a-time as
+          semijoins over tag fragments; the others per candidate *)
+  pred_note : string option;
+      (** the semijoin-vs-per-node cost comparison (EXPLAIN) *)
 }
 
 type physical =
@@ -124,6 +147,10 @@ val source_to_string : source -> string
 val backend_to_string : backend -> string
 
 val push_to_string : push -> string
+
+(** How the step's predicates run: positional per context node, as
+    semijoins, or per candidate node. *)
+val predicate_mode : phys_step -> string
 
 (** Logical plan as an XPath-ish path (for the "rewritten:" line). *)
 val logical_to_string : logical -> string

@@ -25,6 +25,7 @@ type t = {
   paged : Paged_doc.t option;
   domains : int;
   views : (string, Sj.View.t) Hashtbl.t;
+  attr_views : (string, Nodeseq.t) Hashtbl.t;
   guide_views : (string, Sj.View.t) Hashtbl.t;
   mutable elements : Sj.View.t option;
   mutable dstats : Doc_stats.t option;
@@ -39,6 +40,7 @@ let catalog ?paged ?domains ?guide doc =
     paged;
     domains;
     views = Hashtbl.create 16;
+    attr_views = Hashtbl.create 16;
     guide_views = Hashtbl.create 16;
     elements = None;
     dstats = None;
@@ -78,6 +80,7 @@ let evolve ?paged t ~doc ~splice ~delta =
     paged;
     domains = t.domains;
     views = Hashtbl.create 16;
+    attr_views = Hashtbl.create 16;
     guide_views = Hashtbl.create 16;
     elements = None;
     dstats;
@@ -108,6 +111,21 @@ let tag_view t name =
     let view = Sj.View.of_nodeseq doc (Nodeseq.of_sorted_array (Int_col.to_array col)) in
     Hashtbl.add t.views name view;
     view
+
+(* The attribute nodes of one name — the fragment of a semijoin's
+   attribute step.  Only the node sequence: no join runs over it. *)
+let attr_view t name =
+  match Hashtbl.find_opt t.attr_views name with
+  | Some v -> v
+  | None ->
+    let kinds = Doc.kind_array t.cat_doc in
+    let v =
+      Nodeseq.filter
+        (fun p -> kinds.(p) = Doc.Attribute)
+        (Nodeseq.of_sorted_array (Doc.tag_positions t.cat_doc name))
+    in
+    Hashtbl.add t.attr_views name v;
+    v
 
 (* All elements, as one view — the wildcard-pushdown fragment. *)
 let element_view t =
@@ -241,6 +259,20 @@ let reorder_predicates s =
   | preds when List.exists (fun p -> p.positional) preds -> s
   | preds -> { s with predicates = List.stable_sort (fun a b -> compare a.rank b.rank) preds }
 
+(* The paths of a transparent predicate get the chain's step fusion. *)
+let rec fuse_form = function
+  | Exists steps -> Exists (fuse steps)
+  | Value (steps, keep) -> Value (fuse steps, keep)
+  | And (a, b) -> And (fuse_form a, fuse_form b)
+  | Or (a, b) -> Or (fuse_form a, fuse_form b)
+  | Not a -> Not (fuse_form a)
+
+let fuse_predicate_forms s =
+  {
+    s with
+    predicates = List.map (fun p -> { p with form = Option.map fuse_form p.form }) s.predicates;
+  }
+
 let rewrite l =
   let rec go l =
     match l with
@@ -249,7 +281,7 @@ let rewrite l =
     | L_step _ -> (
       let base, steps = unchain l in
       let base = match base with L_union ls -> L_union (List.map go ls) | b -> b in
-      let steps = List.map reorder_predicates (fuse steps) in
+      let steps = List.map (fun s -> reorder_predicates (fuse_predicate_forms s)) (fuse steps) in
       match (base, steps) with
       | L_source Document, bridge :: next :: rest when is_bridge bridge && next.axis = Axis.Child
         ->
@@ -355,33 +387,67 @@ let empty_step sum s ~per_node =
     push_note = None;
     guide_note = None;
     per_node;
+    semijoin = false;
+    pred_note = None;
   }
 
-let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds ~gpart =
+(* Name-test / wildcard pushdown: a fragment of [size] nodes cheaper than
+   the estimated scan replaces the post-join filter. *)
+let push_decision policy ~touches = function
+  | None -> (No_push, None)
+  | Some (push, size, what) -> (
+    let cmp =
+      Printf.sprintf "%s: %d node(s) vs. estimated scan of %d node(s)" what size touches
+    in
+    match policy.pushdown with
+    | `Never -> (No_push, Some "no (disabled)")
+    | `Always -> (push, Some ("yes (join over the fragment) -- " ^ cmp))
+    | `Cost_based ->
+      if size < touches then (push, Some ("yes (join over the fragment) -- " ^ cmp))
+      else (No_push, Some ("no (filter after the join) -- " ^ cmp)))
+
+let tag_candidate (st : Doc_stats.t) tag =
+  Some (Push_tag tag, (Doc_stats.tag st tag).count, Printf.sprintf "tag fragment '%s'" tag)
+
+(* Plans the step's join; the returned cardinality is the candidate
+   count, before the step's predicates. *)
+let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
   let st = doc_stats cat in
   match dir with
   | Following | Preceding ->
     (* the context prunes to a single region query (§3.1); the §4.4
        baselines are descendant/ancestor algorithms, so only the naive
-       per-context-node scan is a meaningful alternative *)
+       per-context-node scan is a meaningful alternative.  Under Auto a
+       tag fragment smaller than the region replaces the region scan;
+       forced backends keep it, and so stay oracles of the view kernels *)
     let touches = st.root_size in
     let backend = match policy.choice with Force Naive -> Naive | Force _ | Auto -> Serial Exec.Estimation in
+    let push, push_note =
+      match (policy.choice, s.test) with
+      | Auto, Name tag -> push_decision policy ~touches (tag_candidate st tag)
+      | Auto, (Wildcard | Any_node | Text_node | Comment_node | Pi_node _) | Force _, _ ->
+        (No_push, None)
+    in
     let cost =
-      match backend with
-      | Naive -> float_of_int sum.card *. float_of_int st.n_nodes
-      | Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
-      | Guide_partition ->
+      match (backend, push) with
+      | Naive, _ -> float_of_int sum.card *. float_of_int st.n_nodes
+      | _, Push_tag tag -> float_of_int (Doc_stats.tag st tag).count
+      | ( ( Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
+          | Guide_partition ),
+          (No_push | Push_elements | Push_guide _) ) ->
         float_of_int touches
     in
-    let out = with_preds (min cap touches) in
+    let out = min cap touches in
     ( {
         step = s;
-        impl = Join { dir; or_self; backend; push = No_push };
+        impl = Join { dir; or_self; backend; push };
         est = { card_in = sum.card; touches; card_out = out; cost };
         alternatives = [];
-        push_note = None;
+        push_note;
         guide_note = None;
         per_node;
+        semijoin = false;
+        pred_note = None;
       },
       out )
   | Desc | Anc ->
@@ -406,36 +472,12 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
       Printf.sprintf "yes (guide path partition) -- %d node(s) vs. estimated scan of %d node(s)"
         size touches
     in
-    (* name-test / wildcard pushdown: a fragment view cheaper than the
-       estimated scan replaces the post-join filter *)
-    let candidate =
-      match s.test with
-      | Name tag ->
-        let v = (Doc_stats.tag st tag).count in
-        Some
-          ( Push_tag tag,
-            v,
-            Printf.sprintf "tag fragment '%s': %d node(s) vs. estimated scan of %d node(s)" tag
-              v touches )
-      | Wildcard ->
-        let v = st.n_elements in
-        Some
-          ( Push_elements,
-            v,
-            Printf.sprintf "element view '*': %d node(s) vs. estimated scan of %d node(s)" v
-              touches )
-      | Any_node | Text_node | Comment_node | Pi_node _ -> None
-    in
     let push, push_note =
-      match candidate with
-      | None -> (No_push, None)
-      | Some (p, v, cmp) -> (
-        match policy.pushdown with
-        | `Never -> (No_push, Some "no (disabled)")
-        | `Always -> (p, Some ("yes (join over the fragment) -- " ^ cmp))
-        | `Cost_based ->
-          if v < touches then (p, Some ("yes (join over the fragment) -- " ^ cmp))
-          else (No_push, Some ("no (filter after the join) -- " ^ cmp)))
+      push_decision policy ~touches
+        (match s.test with
+        | Name tag -> tag_candidate st tag
+        | Wildcard -> Some (Push_elements, st.n_elements, "element view '*'")
+        | Any_node | Text_node | Comment_node | Pi_node _ -> None)
     in
     let serial_cost mode =
       let scan =
@@ -537,7 +579,7 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
     let out =
       let join_out = min cap touches in
       let self_out = if or_self then min sum.card cap else 0 in
-      with_preds (min cap (join_out + self_out))
+      min cap (join_out + self_out)
     in
     ( {
         step = s;
@@ -547,10 +589,12 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~with_preds
         push_note;
         guide_note = None;
         per_node;
+        semijoin = false;
+        pred_note = None;
       },
       out )
 
-let plan_structural (st : Doc_stats.t) sum (s : step) ~per_node ~cap ~with_preds =
+let plan_structural (st : Doc_stats.t) sum (s : step) ~per_node ~cap =
   let fanout =
     if st.n_elements = 0 then 1 else max 1 ((st.n_nodes - st.n_attributes) / st.n_elements)
   in
@@ -567,7 +611,7 @@ let plan_structural (st : Doc_stats.t) sum (s : step) ~per_node ~cap ~with_preds
       (sum.card, sum.card)
   in
   let touches = min st.n_nodes touches in
-  let out = with_preds (min cap (min st.n_nodes out_bound)) in
+  let out = min cap (min st.n_nodes out_bound) in
   ( {
       step = s;
       impl = Structural;
@@ -576,6 +620,8 @@ let plan_structural (st : Doc_stats.t) sum (s : step) ~per_node ~cap ~with_preds
       push_note = None;
       guide_note = None;
       per_node;
+      semijoin = false;
+      pred_note = None;
     },
     out )
 
@@ -606,20 +652,64 @@ let guide_step_exact (s : step) =
   | Axis.Namespace | Axis.Parent | Axis.Preceding | Axis.Preceding_sibling ->
     false
 
-let plan_step cat policy sum (s : step) ~forced_empty =
+(* ------------------------------------------------------------------ *)
+(* predicates: semijoin or per-node evaluation                          *)
+(* ------------------------------------------------------------------ *)
+
+(* What one per-node predicate evaluation costs beyond its path's own
+   join, in units of a semijoin's per-node work: the plan-cache lookup,
+   the singleton context, operator dispatch and the closure call.  A
+   value filter reads each fragment node's string value, which costs
+   [value_filter_cost] units a node.  DESIGN.md (Planning) records the
+   measurement behind both. *)
+let per_eval_cost = 70.
+
+let value_filter_cost = 8.
+
+let rec leaves = function
+  | (Exists _ | Value _) as leaf -> [ leaf ]
+  | And (a, b) | Or (a, b) -> leaves a @ leaves b
+  | Not a -> leaves a
+
+(* A semijoin reads one fragment per step — the element tag view, or the
+   attribute-name view on the attribute axis — so every step must carry a
+   name test. *)
+let semijoinable form =
+  List.for_all
+    (function
+      | Exists steps | Value (steps, _) ->
+        List.for_all (fun (s : step) -> match s.test with Name _ -> true | _ -> false) steps
+      | And _ | Or _ | Not _ -> true)
+    (leaves form)
+
+let fragment_size cat (s : step) =
+  match s.test with
+  | Name n when s.axis = Axis.Attribute -> Some (Nodeseq.length (attr_view cat n))
+  | Name n -> Some (Doc_stats.tag (doc_stats cat) n).count
+  | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None
+
+(* Candidates the form can keep: one with a match needs a node of the
+   path's first fragment below it. *)
+let rec form_card cat cands = function
+  | Exists [] | Value ([], _) -> cands
+  | Exists (s :: _) | Value (s :: _, _) -> (
+    match fragment_size cat s with Some n -> min cands n | None -> cands)
+  | And (a, b) -> min (form_card cat cands a) (form_card cat cands b)
+  | Or (a, b) -> min cands (form_card cat cands a + form_card cat cands b)
+  | Not _ -> cands
+
+let rec plan_step cat policy ~semijoins sum (s : step) ~forced_empty =
   let st = doc_stats cat in
   let per_node = List.exists (fun p -> p.positional) s.predicates in
   let cap = test_cap st s.axis s.test in
-  let with_preds n =
-    if s.predicates = [] then n else if n <= 1 then n else max 1 (n / 2)
-  in
   (* dataguide: advance the cursor, derive the cardinality bound *)
   let gnext =
     match sum.gcur with
     | None -> None
     | Some cur -> guide_advance (guide cat) cur s
   in
-  let gexact_out = sum.gexact && guide_step_exact s && s.predicates = [] in
+  let gexact_cands = sum.gexact && guide_step_exact s in
+  let gexact_out = gexact_cands && s.predicates = [] in
   let gcard = match gnext with Some cur -> Some (Guide.card (guide cat) cur) | None -> None in
   let cap = match gcard with Some c -> min cap c | None -> cap in
   let statically_empty =
@@ -640,13 +730,13 @@ let plan_step cat policy sum (s : step) ~forced_empty =
         if gexact_out then Some (Printf.sprintf "exact card=%d over %d path(s)" c np)
         else Some (Printf.sprintf "upper bound card<=%d over %d path(s)" c np)
   in
-  let ps, out =
+  let ps, cands =
     if forced_empty || s.axis = Axis.Namespace || statically_empty then
       (empty_step sum s ~per_node, 0)
     else
       match s.axis with
       | Axis.Self ->
-        let out = with_preds (min sum.card cap) in
+        let out = min sum.card cap in
         ( {
             step = s;
             impl = Select_self;
@@ -661,42 +751,120 @@ let plan_step cat policy sum (s : step) ~forced_empty =
             push_note = None;
             guide_note = None;
             per_node;
+            semijoin = false;
+            pred_note = None;
           },
           out )
       | Axis.Child | Axis.Attribute | Axis.Parent | Axis.Following_sibling
       | Axis.Preceding_sibling ->
-        plan_structural st sum s ~per_node ~cap ~with_preds
+        plan_structural st sum s ~per_node ~cap
       | Axis.Descendant ->
-        plan_join cat policy sum s ~dir:Desc ~or_self:false ~per_node ~cap ~with_preds
-          ~gpart:gnext
+        plan_join cat policy sum s ~dir:Desc ~or_self:false ~per_node ~cap ~gpart:gnext
       | Axis.Descendant_or_self ->
-        plan_join cat policy sum s ~dir:Desc ~or_self:true ~per_node ~cap ~with_preds
-          ~gpart:gnext
+        plan_join cat policy sum s ~dir:Desc ~or_self:true ~per_node ~cap ~gpart:gnext
       | Axis.Ancestor ->
-        plan_join cat policy sum s ~dir:Anc ~or_self:false ~per_node ~cap ~with_preds
-          ~gpart:gnext
+        plan_join cat policy sum s ~dir:Anc ~or_self:false ~per_node ~cap ~gpart:gnext
       | Axis.Ancestor_or_self ->
-        plan_join cat policy sum s ~dir:Anc ~or_self:true ~per_node ~cap ~with_preds
-          ~gpart:gnext
+        plan_join cat policy sum s ~dir:Anc ~or_self:true ~per_node ~cap ~gpart:gnext
       | Axis.Following ->
-        plan_join cat policy sum s ~dir:Following ~or_self:false ~per_node ~cap ~with_preds
-          ~gpart:None
+        plan_join cat policy sum s ~dir:Following ~or_self:false ~per_node ~cap ~gpart:None
       | Axis.Preceding ->
-        plan_join cat policy sum s ~dir:Preceding ~or_self:false ~per_node ~cap ~with_preds
-          ~gpart:None
+        plan_join cat policy sum s ~dir:Preceding ~or_self:false ~per_node ~cap ~gpart:None
       | Axis.Namespace -> assert false
   in
-  (* an exact cursor pins the output cardinality to the member count *)
+  let tag = out_tag sum s in
   let ps, out =
     match (ps.impl, gcard) with
-    | Empty_result, _ | _, None -> (ps, out)
+    | Empty_result, _ -> (ps, cands)
+    | (Join _ | Structural | Select_self), _ when s.predicates <> [] ->
+      (* under Auto an exact cursor pins the candidates, too *)
+      let cands =
+        match gcard with
+        | Some c when gexact_cands && policy.choice = Auto -> c
+        | Some _ | None -> cands
+      in
+      plan_predicates cat policy ~semijoins ~tag ps cands
+    (* an exact cursor pins the output cardinality to the member count *)
     | (Join _ | Structural | Select_self), Some c when gexact_out ->
       ({ ps with est = { ps.est with card_out = c } }, c)
-    | (Join _ | Structural | Select_self), Some _ -> (ps, out)
+    | (Join _ | Structural | Select_self), (Some _ | None) -> (ps, cands)
   in
   let ps = { ps with guide_note } in
   let at_root = sum.at_root && s.axis = Axis.Self && s.test = Any_node in
-  (ps, { card = out; tag = out_tag sum s; at_root; gcur = gnext; gexact = gexact_out })
+  (ps, { card = out; tag; at_root; gcur = gnext; gexact = gexact_out })
+
+(* The planned cost of a predicate path from one candidate node. *)
+and path_cost cat policy ~tag steps =
+  let one = { card = 1; tag; at_root = false; gcur = None; gexact = false } in
+  fst
+    (List.fold_left
+       (fun (cost, sum) s ->
+         let ps, sum = plan_step cat policy ~semijoins:false sum s ~forced_empty:false in
+         (cost +. ps.est.cost, sum))
+       (0., one) steps)
+
+(* Under Auto a transparent predicate keeps at most as many candidates as
+   its path's first fragment can witness; elsewhere a predicate halves
+   the candidates.  With [semijoins], the transparent predicates whose
+   every step has a fragment run as semijoins when reading the fragments
+   (and probing every candidate once per path) undercuts evaluating
+   their paths once per candidate. *)
+and plan_predicates cat policy ~semijoins ~tag (ps : phys_step) cands =
+  let preds = ps.step.predicates in
+  let auto = policy.choice = Auto && not ps.per_node in
+  let out =
+    if auto && List.for_all (fun p -> p.form <> None) preds then
+      List.fold_left (fun n p -> Option.fold ~none:n ~some:(form_card cat n) p.form) cands preds
+    else if cands <= 1 then cands
+    else max 1 (cands / 2)
+  in
+  let forms =
+    if auto && semijoins then
+      List.filter_map
+        (fun p -> match p.form with Some f when semijoinable f -> Some f | Some _ | None -> None)
+        preds
+    else []
+  in
+  let semijoin, pred_note =
+    match List.concat_map leaves forms with
+    | [] -> (false, None)
+    | leaves ->
+      let c = float_of_int cands in
+      let size s = Option.value ~default:0 (fragment_size cat s) in
+      let path = function Exists steps | Value (steps, _) -> steps | And _ | Or _ | Not _ -> [] in
+      (* each leaf reads its path's fragments and probes every candidate;
+         a value leaf filters its last fragment (the candidates, for an
+         empty path) *)
+      let semi_cost =
+        List.fold_left
+          (fun acc leaf ->
+            let sizes = List.map (fun s -> float_of_int (size s)) (path leaf) in
+            let filtered = match List.rev sizes with [] -> c | last :: _ -> last in
+            let weight = match leaf with Value _ -> value_filter_cost -. 1. | _ -> 0. in
+            acc +. c +. List.fold_left ( +. ) 0. sizes +. (weight *. filtered))
+          0. leaves
+      in
+      let node_cost =
+        c
+        *. List.fold_left
+             (fun acc leaf -> acc +. per_eval_cost +. path_cost cat policy ~tag (path leaf))
+             0. leaves
+      in
+      let fragments =
+        String.concat ", "
+          (List.concat_map
+             (fun leaf ->
+               List.map (fun s -> Printf.sprintf "%s=%d" (step_to_string s) (size s)) (path leaf))
+             leaves)
+      in
+      let verdict = if semi_cost < node_cost then "yes" else "no (per-node filter)" in
+      ( semi_cost < node_cost,
+        Some
+          (Printf.sprintf "%s -- fragments %s; cost=%.0f vs. per-node cost=%.0f" verdict
+             (if fragments = "" then "none" else fragments)
+             semi_cost node_cost) )
+  in
+  ({ ps with est = { ps.est with card_out = out }; semijoin; pred_note }, out)
 
 (* An absolute path starts at the (virtual) document node, which the
    encoding does not materialize; the first step off it is remapped onto
@@ -721,6 +889,16 @@ let plan cat policy ?(context_card = 1) l =
   let groot =
     lazy (if guide_active policy then Some (Guide.root_cursor (guide cat)) else None)
   in
+  (* A relative path planned for one context node is evaluated once per
+     FLWOR row or per candidate of an enclosing predicate: a semijoin
+     would read its fragments again on every evaluation. *)
+  let rec relative = function
+    | L_source Context -> true
+    | L_source (Root | Document) -> false
+    | L_step (input, _) -> relative input
+    | L_union ls -> List.exists relative ls
+  in
+  let semijoins = not (context_card <= 1 && relative l) in
   let rec go l =
     match l with
     | L_source Root ->
@@ -738,7 +916,7 @@ let plan cat policy ?(context_card = 1) l =
       let s, forced_empty =
         match input with L_source Document -> document_remap s | _ -> (s, false)
       in
-      let ps, sum' = plan_step cat policy sum s ~forced_empty in
+      let ps, sum' = plan_step cat policy ~semijoins sum s ~forced_empty in
       (P_step (p_in, ps), sum')
     | L_union branches ->
       let planned = List.map go branches in
@@ -854,9 +1032,10 @@ let structural_axis cat exec context axis =
       assert false
   in
   Nodeseq.iter collect context;
-  (* sibling/child sets of distinct context nodes are disjoint, but they
-     interleave when context nodes are nested — sort once *)
-  Nodeseq.of_unsorted (Int_col.to_list hits)
+  (* child sets of distinct context nodes are disjoint and in document
+     order unless context nodes nest; parent and sibling sets may overlap
+     — sorted and deduplicated only when out of order *)
+  Nodeseq.of_array (Int_col.to_array hits)
 
 (* Run one join; returns the node sequence plus a flag telling the caller
    that the node test was already applied (pushdown). *)
@@ -864,16 +1043,20 @@ let run_join cat exec ~dir ~backend ~push context =
   let doc = cat.cat_doc in
   match dir with
   | Following -> (
-    match backend with
-    | Naive -> (Naive_join.step ~exec doc context Axis.Following, false)
-    | Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
-    | Guide_partition ->
+    match (backend, push) with
+    | Naive, _ -> (Naive_join.step ~exec doc context Axis.Following, false)
+    | _, Push_tag tag -> (Sj.following_view ~exec doc (tag_view cat tag) context, true)
+    | ( ( Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
+        | Guide_partition ),
+        (No_push | Push_elements | Push_guide _) ) ->
       (Sj.following ~exec doc context, false))
   | Preceding -> (
-    match backend with
-    | Naive -> (Naive_join.step ~exec doc context Axis.Preceding, false)
-    | Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
-    | Guide_partition ->
+    match (backend, push) with
+    | Naive, _ -> (Naive_join.step ~exec doc context Axis.Preceding, false)
+    | _, Push_tag tag -> (Sj.preceding_view ~exec doc (tag_view cat tag) context, true)
+    | ( ( Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
+        | Guide_partition ),
+        (No_push | Push_elements | Push_guide _) ) ->
       (Sj.preceding ~exec doc context, false))
   | (Desc | Anc) as dir -> (
     let descending = dir = Desc in
@@ -939,6 +1122,153 @@ let run_impl cat exec (ps : phys_step) context =
       in
       (Nodeseq.union joined self, tested)
 
+(* ------------------------------------------------------------------ *)
+(* semijoins                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [f], checking for cancellation every 4096 calls — for the filters a
+   semijoin runs over whole fragments. *)
+let polled exec f =
+  let calls = ref 0 in
+  fun v ->
+    incr calls;
+    if !calls land 4095 = 0 then Exec.checkpoint exec;
+    f v
+
+(* The nodes a named step selects anywhere in the document. *)
+let fragment cat (s : step) =
+  match s.test with
+  | Name n when s.axis = Axis.Attribute -> attr_view cat n
+  | Name n -> Sj.View.to_nodeseq (tag_view cat n)
+  | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ ->
+    invalid_arg "Planner.fragment: not a name test"
+
+(* The nodes of [within] with an [axis] step into [targets]. *)
+let origins cat exec axis ~within targets =
+  let doc = cat.cat_doc and stats = exec.Exec.stats in
+  match axis with
+  | Axis.Child | Axis.Attribute ->
+    let parents = Doc.parent_array doc in
+    let t = Nodeseq.unsafe_array targets in
+    stats.Stats.scanned <- stats.Stats.scanned + Array.length t;
+    (* siblings are adjacent in [targets] unless their subtrees hold
+       targets too: dropping repeats on the fly leaves the parents sorted
+       in the common case *)
+    let ps = Int_col.create ~capacity:(max 1 (Array.length t)) () in
+    let last = ref (-1) in
+    Array.iter
+      (fun v ->
+        let p = parents.(v) in
+        if p >= 0 && p <> !last then begin
+          Int_col.append_unit ps p;
+          last := p
+        end)
+      t;
+    Nodeseq.inter within (Nodeseq.of_array (Int_col.to_array ps))
+  | Axis.Self -> Nodeseq.inter within targets
+  | Axis.Descendant | Axis.Descendant_or_self ->
+    (* one forward pre/post merge: u has a match exactly when the first
+       target at or after u (after u, for the proper axis) lies in u's
+       subtree *)
+    let or_self = axis = Axis.Descendant_or_self in
+    let sizes = Doc.size_array doc in
+    let t = Nodeseq.unsafe_array targets in
+    let nt = Array.length t in
+    let j = ref 0 in
+    Nodeseq.filter
+      (polled exec (fun u ->
+           stats.Stats.scanned <- stats.Stats.scanned + 1;
+           let first = if or_self then u else u + 1 in
+           while !j < nt && t.(!j) < first do
+             incr j
+           done;
+           !j < nt && t.(!j) <= u + sizes.(u)))
+      within
+  | Axis.Ancestor | Axis.Ancestor_or_self | Axis.Following | Axis.Following_sibling
+  | Axis.Namespace | Axis.Parent | Axis.Preceding | Axis.Preceding_sibling ->
+    invalid_arg "Planner.origins: not a downward axis"
+
+(* The candidates with a node of the path [steps] (passing [keep]): the
+   last step's fragment, value-filtered, walked back one step at a time —
+   each step keeps the previous step's fragment nodes (finally the
+   candidates) with a step into the current set. *)
+let semijoin_path cat exec steps keep candidates =
+  let stats = exec.Exec.stats in
+  let value_filter nodes =
+    match keep with
+    | None -> nodes
+    | Some f ->
+      Nodeseq.filter
+        (polled exec (fun v ->
+             stats.Stats.scanned <- stats.Stats.scanned + 1;
+             f v))
+        nodes
+  in
+  let rec walk targets (s : step) = function
+    | [] -> origins cat exec s.axis ~within:candidates targets
+    | prev :: earlier ->
+      Exec.checkpoint exec;
+      walk (origins cat exec s.axis ~within:(fragment cat prev) targets) prev earlier
+  in
+  match List.rev steps with
+  | [] -> value_filter candidates
+  | last :: earlier -> walk (value_filter (fragment cat last)) last earlier
+
+let rec semijoin cat exec form candidates =
+  match form with
+  | Exists steps -> semijoin_path cat exec steps None candidates
+  | Value (steps, keep) -> semijoin_path cat exec steps (Some keep) candidates
+  | And (a, b) -> semijoin cat exec b (semijoin cat exec a candidates)
+  | Or (a, b) -> Nodeseq.union (semijoin cat exec a candidates) (semijoin cat exec b candidates)
+  | Not a -> Nodeseq.diff candidates (semijoin cat exec a candidates)
+
+(* Per-node predicate closures run untraced under one span, with the same
+   counters and cancellation hook: a span per candidate would dwarf the
+   query it describes. *)
+let per_node_filter exec predicates nodes =
+  let evaluations = ref 0 in
+  let run exec =
+    Nodeseq.filter
+      (fun node ->
+        List.for_all
+          (fun (p : predicate) ->
+            incr evaluations;
+            p.eval exec ~node ~pos:1 ~last:1)
+          predicates)
+      nodes
+  in
+  if not (Exec.tracing exec) then run exec
+  else
+    Exec.span exec "per-node predicates" (fun () ->
+        let result = run { exec with Exec.trace = None } in
+        Exec.annot exec "evaluations" (string_of_int !evaluations);
+        Exec.annot exec "out" (string_of_int (Nodeseq.length result));
+        result)
+
+let filter_predicates cat exec (ps : phys_step) nodes =
+  let semijoins, per_node =
+    if ps.semijoin then
+      List.partition
+        (fun (p : predicate) ->
+          match p.form with Some f -> semijoinable f | None -> false)
+        ps.step.predicates
+    else ([], ps.step.predicates)
+  in
+  let nodes =
+    List.fold_left
+      (fun nodes (p : predicate) ->
+        let form = Option.get p.form in
+        if not (Exec.tracing exec) then semijoin cat exec form nodes
+        else
+          Exec.span exec ("semijoin: [" ^ p.label ^ "]") (fun () ->
+              Exec.annot exec "in" (string_of_int (Nodeseq.length nodes));
+              let result = semijoin cat exec form nodes in
+              Exec.annot exec "out" (string_of_int (Nodeseq.length result));
+              result))
+      nodes semijoins
+  in
+  match per_node with [] -> nodes | preds -> per_node_filter exec preds nodes
+
 let exec_step cat exec context (ps : phys_step) =
   let doc = cat.cat_doc in
   let run () =
@@ -946,19 +1276,14 @@ let exec_step cat exec context (ps : phys_step) =
       (* set-at-a-time: evaluate the axis for the whole context, filter *)
       let nodes, tested = run_impl cat exec ps context in
       let nodes = if tested then nodes else apply_node_test doc ps.step.axis ps.step.test nodes in
-      match ps.step.predicates with
-      | [] -> nodes
-      | predicates ->
-        (* non-positional predicates are per-node boolean filters, applied
-           cheapest-first (the rewrite ordered them) *)
-        Nodeseq.filter
-          (fun node ->
-            List.for_all (fun (p : predicate) -> p.eval exec ~node ~pos:1 ~last:1) predicates)
-          nodes
+      match ps.step.predicates with [] -> nodes | _ -> filter_predicates cat exec ps nodes
     end
     else begin
       (* positional predicates: XPath proximity positions are relative to
-         each context node's own axis result, so evaluate per context node *)
+         each context node's own axis result, so evaluate per context
+         node; the closures run untraced, counted on the step's span *)
+      let pred_exec = { exec with Exec.trace = None } in
+      let evaluations = ref 0 in
       let results =
         Nodeseq.fold_left
           (fun acc c ->
@@ -976,13 +1301,16 @@ let exec_step cat exec context (ps : phys_step) =
                 (fun candidates (p : predicate) ->
                   let last = List.length candidates in
                   List.filteri
-                    (fun i node -> p.eval exec ~node ~pos:(i + 1) ~last)
+                    (fun i node ->
+                      incr evaluations;
+                      p.eval pred_exec ~node ~pos:(i + 1) ~last)
                     candidates)
                 ordered ps.step.predicates
             in
             Nodeseq.of_unsorted kept :: acc)
           [] context
       in
+      Exec.annot exec "evaluations" (string_of_int !evaluations);
       List.fold_left Nodeseq.union Nodeseq.empty results
     end
   in
@@ -1022,9 +1350,10 @@ let exec_step cat exec context (ps : phys_step) =
         | None -> ());
         if ps.step.predicates <> [] then
           Exec.annot exec "predicates"
-            (Printf.sprintf "%d (%s)"
-               (List.length ps.step.predicates)
-               (if ps.per_node then "positional, per-context-node" else "set-at-a-time filter"));
+            (Printf.sprintf "%d (%s)" (List.length ps.step.predicates) (predicate_mode ps));
+        (match ps.pred_note with
+        | Some note -> Exec.annot exec "semijoin" note
+        | None -> ());
         Exec.annot exec "est"
           (Printf.sprintf "in=%d touches=%d out=%d cost=%.0f" ps.est.card_in ps.est.touches
              ps.est.card_out ps.est.cost);

@@ -16,7 +16,8 @@ module Sj = Scj_core.Staircase
 (** {1 Catalog}
 
     Per-document planning and execution state: memoized document
-    statistics, element-only tag views (name-test pushdown), the
+    statistics, element-only tag views (name-test pushdown and
+    semijoin fragments), attribute-name views (semijoin fragments), the
     element view (wildcard pushdown), the B+-tree index of the SQL
     baseline, and — when attached — the paged rendition of the
     document. *)
@@ -105,7 +106,10 @@ val rewrite : Plan.logical -> Plan.logical
     plan: statistics propagate a context-cardinality estimate through the
     steps, every partitioning step is costed across the available
     backends, and the winner (or the forced backend) is recorded together
-    with the pushdown decision and the rejected alternatives.
+    with the pushdown decision and the rejected alternatives.  Under
+    [Auto], a step's transparent predicates ({!Plan.form}) are costed as
+    semijoins over tag fragments against per-node evaluation, except on
+    a relative path planned for one context node.
     [context_card] (default 1) seeds the estimate for [Context]
     sources. *)
 val plan : t -> policy -> ?context_card:int -> Plan.logical -> Plan.physical
@@ -114,5 +118,7 @@ val plan : t -> policy -> ?context_card:int -> Plan.logical -> Plan.physical
     tracing [exec] every operator opens one span annotated with the
     chosen backend, the pushdown decision, partition counts and in/out
     cardinalities — the executed trace mirrors {!Plan.pp_physical}
-    one-to-one.  [Exec.checkpoint] runs between operators. *)
+    one-to-one; a step's semijoins and its per-node predicate closures
+    (run untraced, counted as [evaluations]) open one child span each.
+    [Exec.checkpoint] runs between operators. *)
 val execute : t -> Exec.t -> context:Nodeseq.t -> Plan.physical -> Nodeseq.t

@@ -385,12 +385,64 @@ and predicate_holds session exec ~node ~pos ~last expr =
   | (Bool _ | Str _ | Nodes _) as v -> to_bool v
 
 and compile_predicate session e =
+  let positional = Ast.positional e in
   {
     Plan.label = Format.asprintf "%a" Ast.pp_expr e;
-    positional = Ast.positional e;
+    positional;
     rank = expr_rank e;
+    form = (if positional then None else transparent_form session e);
     eval = (fun exec ~node ~pos ~last -> predicate_holds session exec ~node ~pos ~last e);
   }
+
+(* The planner-visible form of a predicate over relative downward paths
+   (see {!Plan.form}).  A comparison with a literal becomes a node filter
+   built from [compare_values] itself: a node-set compares existentially,
+   node by node, so keeping the path's nodes that pass the filter keeps
+   the XPath value semantics in this module. *)
+and transparent_form session e =
+  let downward (p : Ast.path) =
+    (not p.Ast.absolute)
+    && List.for_all
+         (fun (s : Ast.step) ->
+           s.Ast.predicates = []
+           &&
+           match s.Ast.axis with
+           | Axis.Child | Axis.Attribute | Axis.Descendant | Axis.Descendant_or_self
+           | Axis.Self ->
+             true
+           | Axis.Ancestor | Axis.Ancestor_or_self | Axis.Following | Axis.Following_sibling
+           | Axis.Namespace | Axis.Parent | Axis.Preceding | Axis.Preceding_sibling ->
+             false)
+         p.Ast.steps
+  in
+  let steps (p : Ast.path) = List.map (compile_step session) p.Ast.steps in
+  let literal = function
+    | Ast.Literal s -> Some (Str s)
+    | Ast.Number f -> Some (Num f)
+    | _ -> None
+  in
+  let string_of v = Str (Doc.string_value session.doc v) in
+  let both a b f =
+    match (transparent_form session a, transparent_form session b) with
+    | Some a, Some b -> Some (f a b)
+    | (None | Some _), _ -> None
+  in
+  match e with
+  | Ast.Path_expr p when downward p -> Some (Plan.Exists (steps p))
+  | Ast.Compare (op, Ast.Path_expr p, lit) when downward p -> (
+    match literal lit with
+    | Some lit ->
+      Some (Plan.Value (steps p, fun v -> compare_values session.doc op (string_of v) lit))
+    | None -> None)
+  | Ast.Compare (op, lit, Ast.Path_expr p) when downward p -> (
+    match literal lit with
+    | Some lit ->
+      Some (Plan.Value (steps p, fun v -> compare_values session.doc op lit (string_of v)))
+    | None -> None)
+  | Ast.And (a, b) -> both a b (fun a b -> Plan.And (a, b))
+  | Ast.Or (a, b) -> both a b (fun a b -> Plan.Or (a, b))
+  | Ast.Not a -> Option.map (fun a -> Plan.Not a) (transparent_form session a)
+  | _ -> None
 
 and compile_step session (s : Ast.step) =
   {

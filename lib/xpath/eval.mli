@@ -12,9 +12,10 @@
 
     This module keeps what is XPath-specific: the parser-facing API, the
     XPath 1.0 value model (node-set/boolean/number/string coercions and
-    the core function library) that predicate closures evaluate, and the
-    Ast → logical compiler.  Everything strategy-like lives in the
-    planner. *)
+    the core function library) that predicate closures evaluate — and
+    that the value filters of transparent predicate forms
+    ({!Scj_plan.Plan.form}) call — and the Ast → logical compiler.
+    Everything strategy-like lives in the planner. *)
 
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq

@@ -6,7 +6,9 @@
    O(n·|ctx|) specification oracle:
 
    - results: blit Staircase = Staircase.Reference = Parallel = Morsel =
-     Paged_doc = Sql_plan index plan = spec_step, for every skip mode;
+     Paged_doc = Sql_plan index plan = spec_step, for every skip mode,
+     and the following/preceding view kernels = spec_step restricted to
+     the view;
    - counters: the blit joins, the per-node Reference, the
      partition-parallel join and the morsel-driven join must produce
      identical work-counter totals per mode (the morsel run at a tiny
@@ -127,6 +129,30 @@ let differential shape seed =
         (fun e -> Sj.preceding ~exec:e),
         fun e -> Sj.Reference.preceding ~exec:e );
     ];
+  (* following / preceding over views (tag fragments, an attribute-only
+     fragment, the whole document): the oracle restricted to the view *)
+  List.iter
+    (fun (what, view) ->
+      let members = Sj.View.to_nodeseq view in
+      List.iter
+        (fun (axis, kernel) ->
+          let expected = Nodeseq.inter (oracle axis) members in
+          List.iter
+            (fun mode ->
+              check_result shape seed
+                ~what:
+                  (Printf.sprintf "%s %s view %s" (Sj.skip_mode_to_string mode)
+                     (Axis.to_string axis) what)
+                expected
+                (kernel (Exec.make ~mode ()) doc view ctx))
+            all_modes)
+        [
+          (Axis.Following, fun e -> Sj.following_view ~exec:e);
+          (Axis.Preceding, fun e -> Sj.preceding_view ~exec:e);
+        ])
+    (("document", Sj.View.of_doc doc)
+    :: ("@k0", Sj.View.of_tag doc "k0")
+    :: List.map (fun name -> (name, Sj.View.of_tag doc name)) (Array.to_list Fuzz.names));
   (* the paged rendition under eviction pressure: results and counters
      must match the in-memory estimation-mode run *)
   let paged = Paged_doc.load ~page_ints:16 ~capacity:6 doc in
@@ -208,12 +234,98 @@ let oracle_test doc axis test v =
   | Ast.Name_test n -> principal && Doc.tag_name doc v = Some n
   | Ast.Kind_test _ -> false
 
-let oracle_path doc ctx steps =
+(* XPath string-value, restated: an element's is the concatenation of
+   its text descendants, every other node's its own content *)
+let oracle_string doc v =
+  match Doc.kind doc v with
+  | Doc.Element ->
+    let buf = Buffer.create 16 in
+    for u = v + 1 to v + Doc.size doc v do
+      if Doc.kind doc u = Doc.Text then Buffer.add_string buf (Option.get (Doc.content doc u))
+    done;
+    Buffer.contents buf
+  | Doc.Text | Doc.Comment | Doc.Attribute | Doc.Pi -> Option.value ~default:"" (Doc.content doc v)
+
+let reverse_axis = function
+  | Axis.Ancestor | Axis.Ancestor_or_self | Axis.Preceding | Axis.Preceding_sibling | Axis.Parent
+    ->
+    true
+  | _ -> false
+
+(* Steps without predicates filter the whole step result; a step with
+   predicates runs per context node, the axis result in proximity order,
+   each predicate restated by [oracle_pred] over the survivors of the
+   previous one. *)
+let rec oracle_path doc ctx steps =
   List.fold_left
     (fun seq (s : Ast.step) ->
-      Nodeseq.filter (oracle_test doc s.Ast.axis s.Ast.test)
-        (Test_support.spec_step doc s.Ast.axis seq))
+      let step ctx =
+        Nodeseq.filter (oracle_test doc s.Ast.axis s.Ast.test)
+          (Test_support.spec_step doc s.Ast.axis ctx)
+      in
+      match s.Ast.predicates with
+      | [] -> step seq
+      | preds ->
+        Nodeseq.fold_left
+          (fun acc c ->
+            let nodes = Nodeseq.to_list (step (Nodeseq.of_unsorted [ c ])) in
+            let ordered = if reverse_axis s.Ast.axis then List.rev nodes else nodes in
+            let kept =
+              List.fold_left
+                (fun cands e ->
+                  let last = List.length cands in
+                  List.filteri (fun i v -> oracle_pred doc e ~node:v ~pos:(i + 1) ~last) cands)
+                ordered preds
+            in
+            Nodeseq.union acc (Nodeseq.of_unsorted kept))
+          (Nodeseq.of_unsorted []) seq)
     ctx steps
+
+(* XPath 1.0 predicate truth over the fuzz templates' expressions: a
+   number means position() = number, node-sets compare existentially —
+   = and != on strings, numbers (NaN for non-numeric text) otherwise. *)
+and oracle_pred doc e ~node ~pos ~last =
+  let num s = match float_of_string_opt (String.trim s) with Some f -> f | None -> Float.nan in
+  let holds op x y =
+    match op with
+    | Ast.Eq -> x = y
+    | Ast.Neq -> x <> y
+    | Ast.Lt -> x < y
+    | Ast.Le -> x <= y
+    | Ast.Gt -> x > y
+    | Ast.Ge -> x >= y
+  in
+  let strings (p : Ast.path) =
+    List.map (oracle_string doc)
+      (Nodeseq.to_list (oracle_path doc (Nodeseq.of_unsorted [ node ]) p.Ast.steps))
+  in
+  let compare_strings op a b =
+    match op with Ast.Eq -> a = b | Ast.Neq -> a <> b | _ -> holds op (num a) (num b)
+  in
+  let rec truth = function
+    | Ast.Path_expr p -> strings p <> []
+    | Ast.Not e -> not (truth e)
+    | Ast.And (a, b) -> truth a && truth b
+    | Ast.Or (a, b) -> truth a || truth b
+    | Ast.Compare (op, Ast.Path_expr p, Ast.Path_expr q) ->
+      let qs = strings q in
+      List.exists (fun a -> List.exists (compare_strings op a) qs) (strings p)
+    | Ast.Compare (op, Ast.Path_expr p, Ast.Literal l) ->
+      List.exists (fun a -> compare_strings op a l) (strings p)
+    | Ast.Compare (op, Ast.Literal l, Ast.Path_expr p) ->
+      List.exists (fun a -> compare_strings op l a) (strings p)
+    | Ast.Compare (op, Ast.Path_expr p, Ast.Number f) ->
+      List.exists (fun a -> holds op (num a) f) (strings p)
+    | Ast.Compare (op, Ast.Number f, Ast.Path_expr p) ->
+      List.exists (fun a -> holds op f (num a)) (strings p)
+    | Ast.Compare (op, Ast.Position, Ast.Number f) -> holds op (float_of_int pos) f
+    | Ast.Compare (op, Ast.Last, Ast.Number f) -> holds op (float_of_int last) f
+    | e -> Alcotest.failf "oracle: unsupported predicate %a" Ast.pp_expr e
+  in
+  match e with
+  | Ast.Number f -> float_of_int pos = f
+  | Ast.Last -> pos = last
+  | e -> truth e
 
 let planner_paths shape seed =
   let doc = Fuzz.doc shape seed in
@@ -239,6 +351,149 @@ let planner_paths shape seed =
   done
 
 let test_planner_shape shape () = List.iter (planner_paths shape) seeds
+
+(* Predicate templates over the fuzz names: existence of 1-3-step child,
+   attribute, descendant(-or-self) and self paths; =, !=, <, > against
+   string and numeric literals on either side (the attributes hold
+   "07"/"7.0"-style spellings); and/or/not; and the fallbacks the
+   planner keeps per node — positional predicates, path-vs-path
+   comparisons, upward paths and kind tests.  Auto (where semijoins and
+   following/preceding pushdown run) must be bit-identical to the forced
+   no-skipping staircase, forced naive and the oracle. *)
+let pred_axes = [| Axis.Child; Axis.Descendant; Axis.Descendant_or_self; Axis.Self |]
+
+let gen_pred_path st =
+  let len = 1 + Random.State.int st 3 in
+  let steps =
+    List.init len (fun i ->
+        if i = len - 1 && Random.State.int st 3 = 0 then
+          Ast.step Axis.Attribute (Ast.Name_test (Printf.sprintf "k%d" (Random.State.int st 4)))
+        else
+          Ast.step
+            pred_axes.(Random.State.int st (Array.length pred_axes))
+            (if Random.State.int st 8 = 0 then Ast.Kind_test Ast.Text_node
+             else Ast.Name_test (Fuzz.pick_name st)))
+  in
+  { Ast.absolute = false; steps }
+
+let gen_literal st =
+  match Random.State.int st 6 with
+  | 0 -> Ast.Literal "7"
+  | 1 -> Ast.Literal "07"
+  | 2 -> Ast.Literal "7.0"
+  | 3 -> Ast.Literal "t"
+  | 4 -> Ast.Number 7.
+  | _ -> Ast.Number (float_of_int (Random.State.int st 100))
+
+let pred_ops = [| Ast.Eq; Ast.Neq; Ast.Lt; Ast.Gt |]
+
+let rec gen_pred st depth =
+  let path () = Ast.Path_expr (gen_pred_path st) in
+  let op () = pred_ops.(Random.State.int st (Array.length pred_ops)) in
+  match Random.State.int st (if depth > 0 then 5 else 9) with
+  | 0 | 1 -> path ()
+  | 2 -> Ast.Compare (op (), path (), gen_literal st)
+  | 3 -> Ast.Compare (op (), gen_literal st, path ())
+  | 4 -> Ast.Compare (op (), Ast.Path_expr { Ast.absolute = false; steps = [] }, gen_literal st)
+  | 5 -> Ast.And (gen_pred st (depth + 1), gen_pred st (depth + 1))
+  | 6 -> Ast.Or (gen_pred st (depth + 1), gen_pred st (depth + 1))
+  | 7 -> Ast.Not (gen_pred st (depth + 1))
+  | _ -> (
+    match Random.State.int st 4 with
+    | 0 -> Ast.Number (float_of_int (1 + Random.State.int st 3))
+    | 1 -> Ast.Compare (Ast.Lt, Ast.Position, Ast.Number 3.)
+    | 2 -> Ast.Compare (op (), path (), path ())
+    | _ ->
+      Ast.Path_expr
+        {
+          Ast.absolute = false;
+          steps = [ Ast.step Axis.Ancestor (Ast.Name_test (Fuzz.pick_name st)) ];
+        })
+
+let pred_strategies =
+  List.map
+    (fun name -> (name, Option.get (Eval.strategy_of_string name)))
+    [ "auto"; "staircase-noskip"; "naive" ]
+
+let rec plan_has_semijoin = function
+  | Scj_plan.Plan.P_source _ -> false
+  | Scj_plan.Plan.P_step (input, ps) -> ps.Scj_plan.Plan.semijoin || plan_has_semijoin input
+  | Scj_plan.Plan.P_union ps -> List.exists plan_has_semijoin ps
+
+let predicate_paths semijoins shape seed =
+  let doc = Fuzz.doc shape seed in
+  let ctx = Fuzz.context doc seed in
+  let sessions = List.map (fun (n, s) -> (n, Eval.session ~strategy:s doc)) pred_strategies in
+  let st = Random.State.make [| 0x9ed; seed; Hashtbl.hash (Fuzz.shape_to_string shape) |] in
+  for _ = 1 to 6 do
+    let absolute = Random.State.bool st in
+    let first =
+      Ast.step
+        ~predicates:[ gen_pred st 0 ]
+        (if Random.State.bool st then Axis.Descendant else Axis.Child)
+        (Ast.Name_test (Fuzz.pick_name st))
+    in
+    let steps =
+      if Random.State.int st 3 > 0 then [ first ]
+      else
+        [
+          first;
+          Ast.step
+            [| Axis.Following; Axis.Preceding; Axis.Child |].(Random.State.int st 3)
+            (Ast.Name_test (Fuzz.pick_name st));
+        ]
+    in
+    let path = { Ast.absolute; steps } in
+    let expected =
+      if absolute then
+        (* absolute paths start at the document node above pre 0 *)
+        match steps with
+        | [] -> assert false
+        | s :: rest ->
+          let seed_seq =
+            match s.Ast.axis with
+            | Axis.Child -> Nodeseq.of_unsorted [ 0 ]
+            | _ -> Test_support.spec_step doc Axis.Descendant_or_self (Nodeseq.of_unsorted [ 0 ])
+          in
+          let kept =
+            List.fold_left
+              (fun cands e ->
+                let last = List.length cands in
+                List.filteri (fun i v -> oracle_pred doc e ~node:v ~pos:(i + 1) ~last) cands)
+              (Nodeseq.to_list (Nodeseq.filter (oracle_test doc s.Ast.axis s.Ast.test) seed_seq))
+              s.Ast.predicates
+          in
+          oracle_path doc (Nodeseq.of_unsorted kept) rest
+      else oracle_path doc ctx steps
+    in
+    List.iter
+      (fun (what, session) ->
+        let actual =
+          if absolute then Eval.eval_path session path else Eval.eval_path ~context:ctx session path
+        in
+        if not (Nodeseq.equal expected actual) then
+          fail_at shape seed "%s under %s: expected %s, got %s" (Ast.path_to_string path) what
+            (Format.asprintf "%a" Nodeseq.pp expected)
+            (Format.asprintf "%a" Nodeseq.pp actual);
+        if what = "auto" then begin
+          let card = if absolute then 1 else Nodeseq.length ctx in
+          if plan_has_semijoin (Eval.path_plan ~context_card:card session path) then incr semijoins
+        end)
+      sessions
+  done
+
+let predicate_cases =
+  List.map
+    (fun shape ->
+      Alcotest.test_case
+        (Printf.sprintf "planner predicates: %s" (Fuzz.shape_to_string shape))
+        `Quick
+        (fun () ->
+          let semijoins = ref 0 in
+          List.iter (predicate_paths semijoins shape) seeds;
+          if !semijoins = 0 then
+            Alcotest.failf "shape=%s: no template planned a semijoin" (Fuzz.shape_to_string shape)))
+    Fuzz.all_shapes
 
 let planner_cases =
   List.map
@@ -552,6 +807,7 @@ let () =
     [
       ("axes x implementations x modes", shape_cases);
       ("multi-step paths through the planner", planner_cases);
+      ("predicates through the planner", predicate_cases);
       ("guide-enabled planning", guide_cases);
       ("multi-document scatter-gather", corpus_cases);
       ("flwor compiled vs interpreter", flwor_cases);

@@ -257,6 +257,10 @@ let prop_sax_loader =
 let test_nodeseq_construction () =
   Alcotest.check nodeseq "of_unsorted dedups" (Nodeseq.of_sorted_array [| 1; 3; 5 |])
     (Nodeseq.of_unsorted [ 5; 1; 3; 1; 5 ]);
+  Alcotest.check nodeseq "of_array sorts and dedups" (Nodeseq.of_sorted_array [| 1; 3; 5 |])
+    (Nodeseq.of_array [| 5; 1; 3; 1; 5 |]);
+  Alcotest.check nodeseq "of_array adopts a sorted array" (Nodeseq.of_sorted_array [| 2; 4 |])
+    (Nodeseq.of_array [| 2; 4 |]);
   check_int "empty" 0 (Nodeseq.length Nodeseq.empty);
   Alcotest.check_raises "unsorted rejected"
     (Invalid_argument "Nodeseq.of_sorted_array: ranks must be strictly increasing") (fun () ->
@@ -280,6 +284,15 @@ let test_nodeseq_set_ops () =
   Alcotest.check nodeseq "inter" (Nodeseq.of_unsorted [ 3; 7 ]) (Nodeseq.inter a b);
   Alcotest.check nodeseq "diff" (Nodeseq.of_unsorted [ 1; 5 ]) (Nodeseq.diff a b);
   Alcotest.check nodeseq "union empty" a (Nodeseq.union a Nodeseq.empty);
+  let seen = ref [] in
+  Alcotest.check nodeseq "filter" (Nodeseq.of_unsorted [ 3; 7 ])
+    (Nodeseq.filter
+       (fun v ->
+         seen := v :: !seen;
+         v = 3 || v = 7)
+       a);
+  Alcotest.(check (list int)) "filter calls its predicate once per element, in order"
+    [ 1; 3; 5; 7 ] (List.rev !seen);
   check_bool "mem hit" true (Nodeseq.mem a 5);
   check_bool "mem miss" false (Nodeseq.mem a 4)
 

@@ -81,7 +81,7 @@ let bridge = step Axis.Descendant_or_self (Plan.Any_node)
 let named n = Plan.Name n
 
 let pred ?(positional = false) ?(rank = 0) label =
-  { Plan.label; positional; rank; eval = (fun _ ~node:_ ~pos:_ ~last:_ -> true) }
+  { Plan.label; positional; rank; form = None; eval = (fun _ ~node:_ ~pos:_ ~last:_ -> true) }
 
 let rewritten l = Plan.logical_to_string (Planner.rewrite l)
 
@@ -194,6 +194,23 @@ join: descendant-or-self::*
   rejected: sql-btree cost=99167, mpmgjn cost=13475, structjoin cost=13475, naive cost=6738
 |golden}
 
+(* The existential predicate as a semijoin (§4.4's Q1/Q2 equivalence):
+   reading the increase fragment and probing each bidder once (147 + 147)
+   undercuts 147 per-node evaluations of 70 units plus the path's own
+   join from one bidder (19 units).  The estimate keeps at most as many
+   bidders as increases: q-error 1.00. *)
+let golden_plan_semijoin =
+  {golden|source: document node (emulated at the root element)  [est card=1]
+join: descendant-or-self::bidder[descendant::increase]
+  backend: staircase join (serial, estimation) + self
+  pushdown: yes (join over the fragment) -- tag fragment 'bidder': 147 node(s) vs. estimated scan of 6737 node(s)
+  guide: upper bound card<=147 over 1 path(s)
+  predicates: 1 (semijoin)
+  semijoin: yes -- fragments descendant::increase=147; cost=294 vs. per-node cost=13083
+  est: in=1 touches=6737 out=147 cost=158
+  rejected: sql-btree cost=99167, mpmgjn cost=13475, structjoin cost=13475, naive cost=6738, staircase(guide-partition) cost=158
+|golden}
+
 (* Q1 at two domains: the same plan, with the two multi-domain
    candidates costed on the unpushed scan by [plan_join] —
    parallel = scan / 2 + 2 * spawn_cost (8192) and
@@ -221,6 +238,10 @@ let test_golden_q1 () = check_string "q1" golden_plan_q1 (plan_string "/descenda
 let test_golden_q1_two_domains () =
   check_string "q1 at two domains" golden_plan_q1_two_domains
     (plan_string ~domains:2 "/descendant::profile/descendant::education")
+
+let test_golden_semijoin () =
+  check_string "bidder[increase]" golden_plan_semijoin
+    (plan_string "/descendant::bidder[descendant::increase]")
 
 (* the //keyword document-union special case fuses to one descendant join *)
 let test_golden_keyword () = check_string "//keyword" golden_plan_keyword (plan_string "//keyword")
@@ -271,7 +292,52 @@ let test_results_unchanged_by_auto () =
       "//keyword";
       "/descendant::*";
       "//open_auction[bidder]/seller";
+      "/descendant::bidder[descendant::increase]";
+      "//closed_auction/preceding::person";
+      "//open_auction[bidder]/following::closed_auction";
     ]
+
+(* Semijoins and following/preceding pushdown are Auto's alone: a forced
+   backend keeps per-node predicates and the region scan, so forced
+   sessions stay independent oracles of both. *)
+let test_forced_plans_keep_oracles () =
+  let doc = Lazy.force xmark in
+  let queries =
+    [
+      "/descendant::bidder[descendant::increase]";
+      "//open_auction[bidder]/following::closed_auction";
+      "//closed_auction/preceding::person";
+      "/site/people/person[profile/@income > 50000]/name";
+    ]
+  in
+  let rec steps = function
+    | Plan.P_source _ -> []
+    | Plan.P_step (input, ps) -> steps input @ [ ps ]
+    | Plan.P_union ps -> List.concat_map steps ps
+  in
+  let shapes strategy =
+    let session = Eval.session ~strategy doc in
+    List.concat_map (fun q -> steps (Eval.path_plan session (parse_ok q))) queries
+    |> List.fold_left
+         (fun (semijoins, pushes) (ps : Plan.phys_step) ->
+           ( (semijoins || ps.Plan.semijoin),
+             pushes
+             ||
+             match ps.Plan.impl with
+             | Plan.Join { dir = Plan.Following | Plan.Preceding; push; _ } -> push <> Plan.No_push
+             | Plan.Join _ | Plan.Structural | Plan.Select_self | Plan.Empty_result -> false ))
+         (false, false)
+  in
+  check_bool "auto plans a semijoin and a following/preceding push" true
+    (shapes Eval.default_strategy = (true, true));
+  List.iter
+    (fun name ->
+      match Eval.strategy_of_string name with
+      | Some ({ Eval.backend = `Force _; _ } as strategy) ->
+        check_bool (name ^ ": no semijoin, no following/preceding push") true
+          (shapes strategy = (false, false))
+      | Some { Eval.backend = `Auto | `Auto_flat; _ } | None -> ())
+    Eval.strategy_names
 
 let test_plan_json_shape () =
   let session = Eval.session (Lazy.force xmark) in
@@ -307,6 +373,7 @@ let () =
           Alcotest.test_case "Q1" `Quick test_golden_q1;
           Alcotest.test_case "Q1 at two domains" `Quick test_golden_q1_two_domains;
           Alcotest.test_case "//keyword fusion" `Quick test_golden_keyword;
+          Alcotest.test_case "semijoin" `Quick test_golden_semijoin;
           Alcotest.test_case "wildcard element view" `Quick test_golden_wildcard;
         ] );
       ( "planner",
@@ -314,6 +381,7 @@ let () =
           Alcotest.test_case "wildcard pushdown decision" `Quick test_wildcard_pushdown_impl;
           Alcotest.test_case "plan cache" `Quick test_plan_cache;
           Alcotest.test_case "auto = forced results" `Quick test_results_unchanged_by_auto;
+          Alcotest.test_case "forced plans keep the oracles" `Quick test_forced_plans_keep_oracles;
           Alcotest.test_case "plan json" `Quick test_plan_json_shape;
         ] );
     ]

@@ -450,6 +450,41 @@ let test_stats_to_json () =
     "{\"scanned\":0,\"copied\":7,\"skipped\":0,\"appended\":0,\"compared\":0,\"index_probes\":0,\"index_nodes\":0,\"duplicates\":0,\"sorted\":0,\"pruned\":0}"
     (Stats.to_json s)
 
+(* Per-node predicates run under one span however many candidates they
+   filter: a forced-strategy analyze has the same span count at two
+   document sizes, and the span counts the evaluations. *)
+let test_per_node_predicate_spans () =
+  let strategy = Option.get (Eval.strategy_of_string "staircase") in
+  let rec spans (s : Trace.span) = s :: List.concat_map spans s.Trace.children in
+  let analyze scale =
+    let doc = Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale ())) in
+    let result, trace =
+      Eval.analyze (Eval.session ~strategy doc) (path_exn "/descendant::bidder[descendant::increase]")
+    in
+    let all = List.concat_map spans (Trace.roots trace) in
+    let evaluations =
+      List.filter_map (fun (s : Trace.span) -> List.assoc_opt "evaluations" s.Trace.attrs) all
+    in
+    (Nodeseq.length result, List.length all, evaluations)
+  in
+  let n1, spans1, evals1 = analyze 0.003 in
+  let n2, spans2, evals2 = analyze 0.01 in
+  Alcotest.(check bool) "candidate counts differ" true (n1 <> n2);
+  Alcotest.(check int) "span count independent of the candidates" spans1 spans2;
+  Alcotest.(check (list string)) "evaluations at 0.003" [ string_of_int n1 ] evals1;
+  Alcotest.(check (list string)) "evaluations at 0.01" [ string_of_int n2 ] evals2
+
+(* Under auto the same query runs as a semijoin whose estimate keeps at
+   most as many bidders as there are increases: exact here. *)
+let test_semijoin_q_error () =
+  let _, trace =
+    Eval.analyze (Eval.session (Lazy.force xmark)) (path_exn "/descendant::bidder[descendant::increase]")
+  in
+  let rec q_errors (s : Trace.span) =
+    Option.to_list (List.assoc_opt "q_error" s.Trace.attrs) @ List.concat_map q_errors s.Trace.children
+  in
+  Alcotest.(check (list string)) "q-error" [ "1.00" ] (List.concat_map q_errors (Trace.roots trace))
+
 let () =
   Alcotest.run "scj_trace"
     [
@@ -460,6 +495,9 @@ let () =
           Alcotest.test_case "totals match trace stats" `Quick
             test_analyze_totals_match_trace_stats;
           Alcotest.test_case "json shape" `Quick test_analyze_json_shape;
+          Alcotest.test_case "one span for per-node predicates" `Quick
+            test_per_node_predicate_spans;
+          Alcotest.test_case "semijoin estimate" `Quick test_semijoin_q_error;
         ] );
       ( "parallel parity",
         [

@@ -372,9 +372,16 @@ let test_explain () =
       "staircase join"; "pushdown"; "tag fragment 'increase'"; "est: in=";
       "rejected:"; "SELECT DISTINCT v2.pre"; "v2.tag = 'bidder'";
     ];
-  (* predicates and non-partitioning axes are reported too *)
+  (* predicates and non-partitioning axes are reported too: the chosen
+     predicate form with its fragment sizes and the rejected cost *)
   let report2 = Eval.explain session (parse_ok "//open_auction[bidder]/seller") in
-  Alcotest.(check bool) "predicate note" true (string_contains ~needle:"set-at-a-time" report2);
+  List.iter
+    (fun fragment ->
+      Alcotest.(check bool)
+        (Printf.sprintf "predicate report mentions %S" fragment)
+        true
+        (string_contains ~needle:fragment report2))
+    [ "predicates: 1 (semijoin)"; "fragments child::bidder="; "vs. per-node cost=" ];
   Alcotest.(check bool) "structural note" true
     (string_contains ~needle:"structural size/parent arithmetic" report2)
 
