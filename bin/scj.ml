@@ -78,10 +78,11 @@ let pushdown_conv =
   Cmdliner.Arg.conv (parse, print)
 
 let strategy_doc =
-  "Join-backend strategy: auto (cost-based planner), auto-flat (planner without the \
-   dataguide), guide (force path partitions), staircase, staircase-noskip, staircase-skip, \
-   staircase-estimate, staircase-exact, parallel, paged, naive, sql, sql-nodelimiter, \
-   mpmgjn, structjoin."
+  "Join-backend strategy: auto (the serial staircase join over the document, a tag fragment \
+   or a dataguide path partition, whichever is smallest), auto-flat (auto without the \
+   dataguide), or one forced backend: staircase, staircase-noskip, staircase-skip, \
+   staircase-estimate, staircase-exact, morsel, paged, naive, sql, sql-nodelimiter, mpmgjn, \
+   structjoin."
 
 let strategy_arg =
   let open Cmdliner in
@@ -846,9 +847,10 @@ let load_paged ?fault_latency ~page_ints ~capacity doc =
   Paged_doc.load ~page_ints ~stripes:8 ?fault_latency ~capacity doc
 
 let print_service_stats (s : Server.service_stats) =
-  Printf.printf "completed=%d timed_out=%d failed=%d rejected=%d dropped=%d commits=%d epoch=%d\n"
-    s.Server.completed s.Server.timed_out s.Server.failed s.Server.rejected s.Server.dropped
-    s.Server.commits s.Server.epoch;
+  Printf.printf
+    "completed=%d timed_out=%d failed=%d internal=%d rejected=%d dropped=%d commits=%d epoch=%d\n"
+    s.Server.completed s.Server.timed_out s.Server.failed s.Server.internal s.Server.rejected
+    s.Server.dropped s.Server.commits s.Server.epoch;
   Printf.printf "latency: %s\n" (Format.asprintf "%a" Scj_stats.Histogram.pp s.Server.latency);
   Printf.printf "pool traffic (per-query tallies): hits=%d misses=%d\n" s.Server.tally_hits
     s.Server.tally_misses;

@@ -135,7 +135,11 @@ let of_list l = of_array (Array.of_list l)
 
 let to_array t =
   let data = t.data in
-  Array.init t.len (fun i -> Bigarray.Array1.unsafe_get data i)
+  let a = Array.make t.len 0 in
+  for i = 0 to t.len - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get data i)
+  done;
+  a
 
 let to_list t = Array.to_list (to_array t)
 

@@ -63,9 +63,9 @@ let of_dbs ?(policy = Buffer_pool.Lru) ?(page_ints = 1024) ?(stripes = 1) ?capac
   in
   { pool; entries = Array.of_list entries }
 
-let of_docs ?policy ?page_ints ?stripes ?capacity ?fault_latency ?strategy ?domains docs =
+let of_docs ?policy ?page_ints ?stripes ?capacity ?fault_latency ?strategy docs =
   of_dbs ?policy ?page_ints ?stripes ?capacity ?fault_latency
-    (List.map (fun (id, doc) -> (id, Db.of_doc ?strategy ?domains doc)) docs)
+    (List.map (fun (id, doc) -> (id, Db.of_doc ?strategy doc)) docs)
 
 (* A directory entry is a document when it is a store directory (id =
    the directory name) or an [.xml]/[.scj] file (id = the basename
@@ -79,7 +79,7 @@ let id_of_name path name =
     Some (Filename.chop_suffix name ".scj", full)
   else None
 
-let open_dir ?policy ?page_ints ?stripes ?capacity ?fault_latency ?strategy ?domains dir =
+let open_dir ?policy ?page_ints ?stripes ?capacity ?fault_latency ?strategy dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Error.io (Printf.sprintf "no such document directory: %s" dir))
   else begin
@@ -92,7 +92,7 @@ let open_dir ?policy ?page_ints ?stripes ?capacity ?fault_latency ?strategy ?dom
       let rec open_all acc = function
         | [] -> Ok (List.rev acc)
         | (id, path) :: rest -> (
-          match Db.open_ ?strategy ?domains path with
+          match Db.open_ ?strategy path with
           | Ok db -> open_all ((id, db) :: acc) rest
           | Error e ->
             List.iter (fun (_, db) -> Db.close db) acc;

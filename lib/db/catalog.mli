@@ -48,7 +48,6 @@ val open_dir :
   ?capacity:int ->
   ?fault_latency:float ->
   ?strategy:Scj_xpath.Eval.strategy ->
-  ?domains:int ->
   string ->
   (t, Scj_error.Error.t) result
 
@@ -75,7 +74,6 @@ val of_docs :
   ?capacity:int ->
   ?fault_latency:float ->
   ?strategy:Scj_xpath.Eval.strategy ->
-  ?domains:int ->
   (string * Doc.t) list ->
   t
 

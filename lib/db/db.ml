@@ -12,7 +12,6 @@ type backing = Memory | File of string | Stored of Store.t
 
 type t = {
   strategy : Eval.strategy option;
-  domains : int option;
   backing : backing;
   lock : Mutex.t;  (* guards the memos *)
   mutable doc : Doc.t;
@@ -25,26 +24,26 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let make ?strategy ?domains backing doc =
-  { strategy; domains; backing; lock = Mutex.create (); doc; paged = None; session = None;
+let make ?strategy backing doc =
+  { strategy; backing; lock = Mutex.create (); doc; paged = None; session = None;
     guide = None }
 
-let of_doc ?strategy ?domains doc = make ?strategy ?domains Memory doc
+let of_doc ?strategy doc = make ?strategy Memory doc
 
-let of_store ?strategy ?domains store =
+let of_store ?strategy store =
   match Store.doc store with
-  | doc -> Ok (make ?strategy ?domains (Stored store) doc)
+  | doc -> Ok (make ?strategy (Stored store) doc)
   | exception Store.Corrupt msg -> Error (Error.corrupt msg)
 
 let is_store_dir path =
   Sys.file_exists path && Sys.is_directory path
   && Sys.file_exists (Filename.concat path Store.pages_file)
 
-let open_ ?strategy ?domains path =
+let open_ ?strategy path =
   if not (Sys.file_exists path) then Error (Error.io (Printf.sprintf "no such document: %s" path))
   else if Sys.is_directory path then
     if Sys.file_exists (Filename.concat path Store.pages_file) then
-      Result.bind (Store.open_ path) (of_store ?strategy ?domains)
+      Result.bind (Store.open_ path) (of_store ?strategy)
     else Error (Error.io (Printf.sprintf "%s is a directory but not a store (no %s)" path Store.pages_file))
   else begin
     let probe =
@@ -53,12 +52,12 @@ let open_ ?strategy ?domains path =
     in
     if String.equal probe Codec.magic then
       match Codec.read_file path with
-      | Ok doc -> Ok (make ?strategy ?domains (File path) doc)
+      | Ok doc -> Ok (make ?strategy (File path) doc)
       | Error e -> Error (Error.corrupt e)
     else begin
       let content = In_channel.with_open_bin path In_channel.input_all in
       match Doc.of_string content with
-      | Ok doc -> Ok (make ?strategy ?domains (File path) doc)
+      | Ok doc -> Ok (make ?strategy (File path) doc)
       | Error e -> Error (Error.parse e)
     end
   end
@@ -131,7 +130,7 @@ let session t =
            never rescans the document for path statistics; a corrupt
            guide extent falls back to the planner's own lazy build *)
         let guide = try Some (guide_locked t) with Store.Corrupt _ -> None in
-        let s = Eval.session ?strategy:t.strategy ?paged:t.paged ?domains:t.domains ?guide t.doc in
+        let s = Eval.session ?strategy:t.strategy ?paged:t.paged ?guide t.doc in
         t.session <- Some s;
         s)
 

@@ -28,24 +28,20 @@ module Update = Scj_encoding.Update
 
 type t
 
-(** [open_ ?strategy ?domains path] opens a store directory, a codec
+(** [open_ ?strategy path] opens a store directory, a codec
     file, or an XML file.  Errors: [Io] (missing path), [Parse] (bad
     XML), [Corrupt]/[Incomplete]/[Recovery]/[Validation] from the store
     layer. *)
-val open_ :
-  ?strategy:Scj_xpath.Eval.strategy -> ?domains:int -> string -> (t, Scj_error.Error.t) result
+val open_ : ?strategy:Scj_xpath.Eval.strategy -> string -> (t, Scj_error.Error.t) result
 
 (** Wrap an in-memory document (no backing; {!apply} mutates only the
     handle). *)
-val of_doc : ?strategy:Scj_xpath.Eval.strategy -> ?domains:int -> Doc.t -> t
+val of_doc : ?strategy:Scj_xpath.Eval.strategy -> Doc.t -> t
 
 (** Wrap an already-open store (ownership transfers: {!close} closes
     it). *)
 val of_store :
-  ?strategy:Scj_xpath.Eval.strategy ->
-  ?domains:int ->
-  Scj_store.Store.t ->
-  (t, Scj_error.Error.t) result
+  ?strategy:Scj_xpath.Eval.strategy -> Scj_store.Store.t -> (t, Scj_error.Error.t) result
 
 (** [true] iff [path] looks like a store directory. *)
 val is_store_dir : string -> bool

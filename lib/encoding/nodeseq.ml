@@ -91,6 +91,10 @@ let filter p s =
     if Scj_bat.Int_col.length kept = n then s else Scj_bat.Int_col.to_array kept
   end
 
+(* The first [k] entries of a merge's output buffer, copied only when
+   the merge left part of it unused. *)
+let fitted out k = if k = Array.length out then out else Array.sub out 0 k
+
 let union a b =
   let na = Array.length a and nb = Array.length b in
   if na = 0 then b
@@ -128,7 +132,7 @@ let union a b =
       incr j;
       incr k
     done;
-    Array.sub out 0 !k
+    fitted out !k
   end
 
 let inter a b =
@@ -146,7 +150,7 @@ let inter a b =
       incr k
     end
   done;
-  Array.sub out 0 !k
+  fitted out !k
 
 let diff a b =
   let na = Array.length a and nb = Array.length b in
@@ -163,7 +167,7 @@ let diff a b =
     end;
     incr i
   done;
-  Array.sub out 0 !k
+  fitted out !k
 
 let equal a b = a = b
 

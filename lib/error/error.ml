@@ -6,6 +6,7 @@ type t =
   | Corrupt of string
   | Recovery of string
   | Io of string
+  | Internal of string
   | Overloaded
   | Shutdown
 
@@ -18,6 +19,7 @@ let to_string = function
   | Corrupt m -> "CORRUPT: " ^ m
   | Recovery m -> "recovery failed: " ^ m
   | Io m -> "io error: " ^ m
+  | Internal m -> "internal error: " ^ m
   | Overloaded -> "overloaded: submission queue full"
   | Shutdown -> "shutting down"
 

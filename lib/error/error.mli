@@ -27,6 +27,9 @@ type t =
       (** WAL replay failed — the log and the pages disagree beyond what
           redo can reconcile. *)
   | Io of string  (** Operating-system level failure (open, read, ...). *)
+  | Internal of string
+      (** An exception the engine does not expect to raise — a defect,
+          not bad input or a failing device. *)
   | Overloaded
       (** Admission control: the submission queue is full; back off and
           retry. *)

@@ -302,7 +302,11 @@ let expr_label e = Format.asprintf "%a" pp_label e
 (* execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type rt = { doc : Doc.t; exec : Exec.t }
+(* [tick] is one {!Exec.poller} for the whole program: every row loop
+   below ticks it, since a clause whose expressions run no path never
+   reaches the joins' checkpoints, and a deadline must still interrupt
+   a large cross product — nested blocks included. *)
+type rt = { doc : Doc.t; exec : Exec.t; tick : unit -> unit }
 
 let nodes_of seq = List.map (fun v -> Node v) (Nodeseq.to_list seq)
 
@@ -359,12 +363,21 @@ and eval_block rt row b =
   let rows =
     match b.where with
     | None -> rows
-    | Some w -> List.filter (fun r -> ebv (eval rt r w)) rows
+    | Some w ->
+      List.filter
+        (fun r ->
+          rt.tick ();
+          ebv (eval rt r w))
+        rows
   in
   let rows =
     match b.order_by with None -> rows | Some (key, dir) -> sort_rows rt key dir rows
   in
-  List.concat_map (fun r -> eval rt r b.return) rows
+  List.concat_map
+    (fun r ->
+      rt.tick ();
+      eval rt r b.return)
+    rows
 
 and eval_op rt rows op =
   if Exec.tracing rt.exec then
@@ -380,6 +393,7 @@ and run_op rt rows op =
   | Let_op { slot; def } ->
     List.map
       (fun r ->
+        rt.tick ();
         let r' = Array.copy r in
         r'.(slot.id) <- eval rt r def;
         r')
@@ -388,7 +402,9 @@ and run_op rt rows op =
     List.concat_map
       (fun r ->
         List.mapi
-          (fun i item -> bind_row r b i item)
+          (fun i item ->
+            rt.tick ();
+            bind_row r b i item)
           (eval rt r b.source))
       rows
   | Join_op j -> eval_join rt rows j
@@ -418,13 +434,17 @@ and eval_join rt rows (j : join) =
        the inner binder, so stale outer slots are never read *)
     let scratch = Array.copy sample in
     let inner_key_atoms jx =
+      rt.tick ();
       scratch.(j.inner.slot.id) <- [ items.(jx) ];
       (match j.inner.at with
       | None -> ()
       | Some s -> scratch.(s.id) <- [ Atom (Num (float_of_int (jx + 1))) ]);
       List.map (atomize rt.doc) (eval rt scratch j.inner_key)
     in
-    let outer_key_atoms r = List.map (atomize rt.doc) (eval rt r j.outer_key) in
+    let outer_key_atoms r =
+      rt.tick ();
+      List.map (atomize rt.doc) (eval rt r j.outer_key)
+    in
     (match j.jcmp with
     | Neq -> fail "internal: != is not a mergeable join predicate"
     | Eq ->
@@ -486,6 +506,7 @@ and eval_join rt rows (j : join) =
             done;
             while !i < nl && cmp (fst la.(!i)) ka = 0 do
               for g = !jp to !jend - 1 do
+                rt.tick ();
                 emit (snd la.(!i)) (snd ra.(g))
               done;
               incr i
@@ -555,6 +576,7 @@ and eval_join rt rows (j : join) =
               | Eq | Neq -> assert false
             in
             for g = first to last - 1 do
+              rt.tick ();
               matched.(ri) <- snd scal.(g) :: matched.(ri)
             done)
         rows);
@@ -562,13 +584,18 @@ and eval_join rt rows (j : join) =
       (List.mapi
          (fun ri r ->
            let idxs = List.sort_uniq compare matched.(ri) in
-           List.map (fun jx -> bind_row r j.inner jx items.(jx)) idxs)
+           List.map
+             (fun jx ->
+               rt.tick ();
+               bind_row r j.inner jx items.(jx))
+             idxs)
          rows)
 
 and sort_rows rt key dir rows =
   let keyed =
     List.map
       (fun r ->
+        rt.tick ();
         let k =
           match eval rt r key with
           | [] -> `Empty
@@ -687,7 +714,7 @@ and eval_fn rt row fn args =
 
 let execute ~doc ?(exec = Exec.make ()) (p : program) : value =
   let row = Array.make (max p.width 1) [] in
-  eval { doc; exec } row p.body
+  eval { doc; exec; tick = Exec.poller exec } row p.body
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                            *)

@@ -34,16 +34,14 @@ type logical = L_source of source | L_step of logical * step | L_union of logica
 
 type backend =
   | Serial of Exec.skip_mode
-  | Parallel of Exec.skip_mode
   | Morsel of Exec.skip_mode
   | Paged
   | Btree of { delimiter : bool }
   | Mpmgjn
   | Structjoin
   | Naive
-  | Guide_partition
 
-type push = No_push | Push_tag of string | Push_elements | Push_guide of string
+type push = No_push | Push_tag of string | Push_guide of string
 
 type direction = Desc | Anc | Following | Preceding
 
@@ -102,7 +100,6 @@ let skip_mode_to_string = Exec.skip_mode_to_string
 
 let backend_to_string = function
   | Serial mode -> Printf.sprintf "staircase join (serial, %s)" (skip_mode_to_string mode)
-  | Parallel mode -> Printf.sprintf "staircase join (parallel, %s)" (skip_mode_to_string mode)
   | Morsel mode -> Printf.sprintf "staircase join (morsel, %s)" (skip_mode_to_string mode)
   | Paged -> "staircase join (paged, estimation)"
   | Btree { delimiter } ->
@@ -110,12 +107,10 @@ let backend_to_string = function
   | Mpmgjn -> "mpmgjn"
   | Structjoin -> "structural join"
   | Naive -> "naive region queries"
-  | Guide_partition -> "staircase join (guide path partition)"
 
 let push_to_string = function
   | No_push -> "none"
   | Push_tag t -> "tag '" ^ t ^ "'"
-  | Push_elements -> "element view"
   | Push_guide key -> "guide partition " ^ key
 
 let predicate_mode ps =

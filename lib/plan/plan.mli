@@ -4,10 +4,15 @@
     context source, axis steps with node tests and predicates, unions with
     duplicate elimination — rewritten by {!Planner.rewrite}, and lowered
     by {!Planner.plan} into a {e physical} plan whose every partitioning
-    step carries the join backend the cost model selected (serial blit
-    staircase × skip mode, partition-parallel staircase, paged staircase,
-    the B+-tree/SQL plan of Fig. 3, MPMGJN, structural join, or the naive
-    per-context-node region query) together with its cost estimates.  The
+    step carries its join backend and the extent it scans, together with
+    its cost estimates.  Under Auto a descendant or ancestor step is the
+    serial staircase join in estimation mode over the cheapest extent:
+    the whole document, the step's tag fragment or its dataguide path
+    partition.  The other backends (the serial staircase in another skip
+    mode, the morsel-driven and paged staircase, the B+-tree/SQL plan of
+    Fig. 3, MPMGJN, structural join and the naive per-context-node
+    region query) run only when forced: they are the paper's baselines
+    and the test oracles.  The
     physical tree is what executes: {!Planner.execute} interprets it
     operator by operator, and [scj plan] / [EXPLAIN] render the very same
     tree ({!pp_physical}, {!physical_to_json}).
@@ -75,24 +80,22 @@ type logical =
 
 type backend =
   | Serial of Exec.skip_mode  (** blit staircase join, §3 *)
-  | Parallel of Exec.skip_mode  (** partition-parallel staircase join *)
   | Morsel of Exec.skip_mode  (** morsel-driven join over the shared pool *)
   | Paged  (** staircase join over the buffer pool (estimation mode) *)
   | Btree of { delimiter : bool }  (** the Fig.-3 B+-tree/SQL plan *)
   | Mpmgjn  (** multi-predicate merge join *)
   | Structjoin  (** sorted-list structural join *)
   | Naive  (** per-context-node region queries *)
-  | Guide_partition
-      (** staircase join over the dataguide path partition: the step's
-          fully-qualified path set selects only its partition's pre
-          extents instead of the whole document table *)
 
+(** The extent a serial staircase join scans in place of the whole
+    document. *)
 type push =
-  | No_push  (** evaluate the node test after the join *)
-  | Push_tag of string  (** join over the tag-name view *)
-  | Push_elements  (** wildcard: join over the element-only view *)
+  | No_push  (** the document; the node test filters after the join *)
+  | Push_tag of string  (** the tag-name view *)
   | Push_guide of string
-      (** join over a dataguide path partition (the catalog's memo key) *)
+      (** a dataguide path partition (the catalog's memo key): the
+          step's fully-qualified path set selects only its partition's
+          pre extents *)
 
 type direction = Desc | Anc | Following | Preceding
 
@@ -117,7 +120,7 @@ type phys_step = {
   impl : impl;
   est : estimate;
   alternatives : (string * float) list;
-      (** costed-but-rejected backends, for EXPLAIN *)
+      (** costed-but-rejected extents, for EXPLAIN *)
   push_note : string option;
       (** the pushdown cost comparison, human-readable (EXPLAIN) *)
   guide_note : string option;

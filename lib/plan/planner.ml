@@ -6,7 +6,6 @@ module Sj = Scj_core.Staircase
 module Axis = Scj_encoding.Axis
 module Int_col = Scj_bat.Int_col
 module Stats = Scj_stats.Stats
-module Parallel_join = Scj_frag.Parallel
 module Morsel_join = Scj_frag.Morsel
 module Paged_doc = Scj_pager.Paged_doc
 module Naive_join = Scj_engine.Naive
@@ -23,26 +22,21 @@ open Plan
 type t = {
   cat_doc : Doc.t;
   paged : Paged_doc.t option;
-  domains : int;
   views : (string, Sj.View.t) Hashtbl.t;
   attr_views : (string, Nodeseq.t) Hashtbl.t;
   guide_views : (string, Sj.View.t) Hashtbl.t;
-  mutable elements : Sj.View.t option;
   mutable dstats : Doc_stats.t option;
   mutable cat_guide : Guide.t option;
   mutable index : Sql_plan.index option;
 }
 
-let catalog ?paged ?domains ?guide doc =
-  let domains = match domains with Some d -> max 1 d | None -> Exec.default_domains () in
+let catalog ?paged ?guide doc =
   {
     cat_doc = doc;
     paged;
-    domains;
     views = Hashtbl.create 16;
     attr_views = Hashtbl.create 16;
     guide_views = Hashtbl.create 16;
-    elements = None;
     dstats = None;
     cat_guide = guide;
     index = None;
@@ -52,9 +46,9 @@ let doc t = t.cat_doc
 
 (* Carry a catalog across a mutation (see Update.applied): statistics are
    patched in place of a rescan, the B+-tree index is spliced key-by-key
-   instead of rebuilt, and the tag/element views — cheap single-scan
-   structures — are dropped for lazy rebuild.  Ownership of the mutable
-   index transfers to the new catalog: the old one must not serve
+   instead of rebuilt, and the tag and partition views — cheap
+   single-scan structures — are dropped for lazy rebuild.  Ownership of
+   the mutable index transfers to the new catalog: the old one must not serve
    queries afterwards (the server retires a rendition's session before
    evolving it). *)
 let evolve ?paged t ~doc ~splice ~delta =
@@ -78,11 +72,9 @@ let evolve ?paged t ~doc ~splice ~delta =
   {
     cat_doc = doc;
     paged;
-    domains = t.domains;
     views = Hashtbl.create 16;
     attr_views = Hashtbl.create 16;
     guide_views = Hashtbl.create 16;
-    elements = None;
     dstats;
     cat_guide;
     index;
@@ -127,22 +119,6 @@ let attr_view t name =
     Hashtbl.add t.attr_views name v;
     v
 
-(* All elements, as one view — the wildcard-pushdown fragment. *)
-let element_view t =
-  match t.elements with
-  | Some v -> v
-  | None ->
-    let doc = t.cat_doc in
-    let kinds = Doc.kind_array doc in
-    let n = Doc.n_nodes doc in
-    let col = Int_col.create ~capacity:(max 1 n) () in
-    for v = 0 to n - 1 do
-      if kinds.(v) = Doc.Element then Int_col.append_unit col v
-    done;
-    let view = Sj.View.of_nodeseq doc (Nodeseq.of_sorted_array (Int_col.to_array col)) in
-    t.elements <- Some view;
-    view
-
 let guide t =
   match t.cat_guide with
   | Some g -> g
@@ -183,21 +159,14 @@ type policy = { choice : choice; pushdown : pushdown; guide : bool }
 let default_policy = { choice = Auto; pushdown = `Cost_based; guide = true }
 
 (* The guide participates only where it cannot destabilize a forced
-   choice: cost-based planning (when the policy enables it) and the
-   explicitly forced guide-partition backend. *)
-let guide_active p =
-  match p.choice with
-  | Auto -> p.guide
-  | Force Guide_partition -> true
-  | Force _ -> false
+   choice: cost-based planning, when the policy enables it. *)
+let guide_active p = p.choice = Auto && p.guide
 
 let policy_to_string p =
   let alg =
     match p.choice with
     | Auto -> if p.guide then "auto" else "auto-flat"
-    | Force Guide_partition -> "guide"
     | Force (Serial mode) -> "staircase/" ^ Exec.skip_mode_to_string mode
-    | Force (Parallel mode) -> "parallel/" ^ Exec.skip_mode_to_string mode
     | Force (Morsel mode) -> "morsel/" ^ Exec.skip_mode_to_string mode
     | Force Paged -> "paged"
     | Force (Btree { delimiter }) -> if delimiter then "sql+delimiter" else "sql"
@@ -363,15 +332,6 @@ let out_tag sum (s : step) =
   | Any_node when s.axis = Axis.Self -> sum.tag
   | Name _ | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None
 
-(* Per-spawn overhead charged to the parallel backend, in touched-node
-   units — keeps it from winning tiny joins. *)
-let spawn_cost = 8192.
-
-(* Per-join overhead charged to the morsel backend: the pool is
-   persistent (no spawns), so one batch costs only its submit/claim
-   traffic — why Auto prefers morsels over per-step forked domains. *)
-let batch_cost = 1024.
-
 let log2 x = log (max 2. x) /. log 2.
 
 (* ------------------------------------------------------------------ *)
@@ -391,8 +351,8 @@ let empty_step sum s ~per_node =
     pred_note = None;
   }
 
-(* Name-test / wildcard pushdown: a fragment of [size] nodes cheaper than
-   the estimated scan replaces the post-join filter. *)
+(* Name-test pushdown: a fragment of [size] nodes cheaper than the
+   estimated scan replaces the post-join filter. *)
 let push_decision policy ~touches = function
   | None -> (No_push, None)
   | Some (push, size, what) -> (
@@ -432,9 +392,7 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
       match (backend, push) with
       | Naive, _ -> float_of_int sum.card *. float_of_int st.n_nodes
       | _, Push_tag tag -> float_of_int (Doc_stats.tag st tag).count
-      | ( ( Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
-          | Guide_partition ),
-          (No_push | Push_elements | Push_guide _) ) ->
+      | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_guide _) ->
         float_of_int touches
     in
     let out = min cap touches in
@@ -456,125 +414,73 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
     let kf = float_of_int sum.card in
     let tf = float_of_int touches in
     let tail = kf *. float_of_int (max 1 st.height) in
-    let serial_scan mode = match mode with Exec.No_skipping -> n | _ -> tf in
-    (* guide path partition: the step's matched paths name exactly the
-       pre extents worth scanning — a fragment view like tag pushdown,
-       but qualified by the whole path, not just the last tag *)
-    let gpart_info =
-      match gpart with
-      | Some cur when not (Guide.is_empty cur) ->
-        let g = guide cat in
-        Some (cur, Guide.cursor_key g cur, Guide.card g cur)
-      | Some _ | None -> None
-    in
-    let guide_cost size = float_of_int size +. tail in
-    let guide_push_note size =
-      Printf.sprintf "yes (guide path partition) -- %d node(s) vs. estimated scan of %d node(s)"
-        size touches
-    in
+    let scan mode = (match mode with Exec.No_skipping -> n | _ -> tf) +. tail in
     let push, push_note =
       push_decision policy ~touches
         (match s.test with
         | Name tag -> tag_candidate st tag
-        | Wildcard -> Some (Push_elements, st.n_elements, "element view '*'")
-        | Any_node | Text_node | Comment_node | Pi_node _ -> None)
+        | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None)
     in
-    let serial_cost mode =
-      let scan =
-        match push with
-        | Push_tag tag -> float_of_int (Doc_stats.tag st tag).count
-        | Push_elements -> float_of_int st.n_elements
-        | Push_guide _ | No_push -> serial_scan mode
-      in
-      scan +. tail
-    in
-    let parallel_cost mode =
-      ((serial_scan mode +. tail) /. float_of_int cat.domains)
-      +. (spawn_cost *. float_of_int cat.domains)
-    in
-    let morsel_cost mode = ((serial_scan mode +. tail) /. float_of_int cat.domains) +. batch_cost in
-    let btree_cost = (kf *. log2 n) +. (2. *. tf) +. (tf *. log2 tf) in
-    let merge_cost = n +. tf in
-    let naive_cost = kf *. n in
+    let tag_cost tag = float_of_int (Doc_stats.tag st tag).count +. tail in
+    let serial_cost mode = match push with Push_tag tag -> tag_cost tag | _ -> scan mode in
     let backend, cost, alternatives, push, push_note =
       match policy.choice with
-      | Force Guide_partition -> (
-        match gpart_info with
-        | Some (cur, key, size) ->
-          ignore (guide_partition_view cat cur key);
-          (Guide_partition, guide_cost size, [], Push_guide key, Some (guide_push_note size))
-        | None ->
-          (* no (or an empty) partition for this step — the serial
-             staircase is the graceful degradation *)
-          (Serial Exec.Estimation, serial_cost Exec.Estimation, [], push, push_note))
       | Force b ->
         let cost =
           match b with
           | Serial mode -> serial_cost mode
-          | Parallel mode -> parallel_cost mode
-          | Morsel mode -> morsel_cost mode
+          | Morsel mode -> scan mode
           | Paged -> 4. *. serial_cost Exec.Estimation
-          | Btree _ -> btree_cost
-          | Mpmgjn | Structjoin -> merge_cost
-          | Naive -> naive_cost
-          | Guide_partition -> serial_cost Exec.Estimation
+          | Btree _ -> (kf *. log2 n) +. (2. *. tf) +. (tf *. log2 tf)
+          | Mpmgjn | Structjoin -> n +. tf
+          | Naive -> kf *. n
         in
         let push, push_note =
           match b with Serial _ -> (push, push_note) | _ -> (No_push, None)
         in
         (b, cost, [], push, push_note)
       | Auto ->
-        let candidates =
-          ("staircase(serial/estimation)", Serial Exec.Estimation, serial_cost Exec.Estimation)
-          :: List.concat
-               [
-                 (if cat.domains > 1 then
-                    [
-                      ( "staircase(parallel/estimation)",
-                        Parallel Exec.Estimation,
-                        parallel_cost Exec.Estimation );
-                      ( "staircase(morsel/estimation)",
-                        Morsel Exec.Estimation,
-                        morsel_cost Exec.Estimation );
-                    ]
-                  else []);
-                 [
-                   ("sql-btree", Btree { delimiter = true }, btree_cost);
-                   ("mpmgjn", Mpmgjn, merge_cost);
-                   ("structjoin", Structjoin, merge_cost);
-                   ("naive", Naive, naive_cost);
-                 ];
-                 (* appended last: on a cost tie the earlier candidate
-                    wins, so the partition only displaces a backend it
-                    strictly beats *)
-                 (match gpart_info with
-                 | Some (_, _, size) when policy.pushdown <> `Never ->
-                   [ ("staircase(guide-partition)", Guide_partition, guide_cost size) ]
-                 | Some _ | None -> []);
-               ]
+        (* One kernel, the serial staircase in estimation mode; only its
+           extent is chosen.  The pushdown decision picks the document or
+           the tag fragment, and the guide path partition displaces that
+           choice when strictly smaller (DESIGN.md, Planning). *)
+        let raced = policy.pushdown <> `Never in
+        let partition =
+          match gpart with
+          | Some cur when raced && not (Guide.is_empty cur) ->
+            let g = guide cat in
+            Some (cur, Guide.cursor_key g cur, Guide.card g cur)
+          | Some _ | None -> None
         in
-        let (wname, wbackend, wcost) =
-          List.fold_left
-            (fun (an, ab, ac) (bn, bb, bc) -> if bc < ac then (bn, bb, bc) else (an, ab, ac))
-            (List.hd candidates) (List.tl candidates)
-        in
-        let alternatives =
-          List.filter_map
-            (fun (nm, _, c) -> if nm = wname then None else Some (nm, c))
-            candidates
+        let extents =
+          (("document", No_push, scan Exec.Estimation)
+          ::
+          (match s.test with
+          | Name tag when raced ->
+            [ (Printf.sprintf "tag fragment '%s'" tag, Push_tag tag, tag_cost tag) ]
+          | Name _ | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> []))
+          @
+          match partition with
+          | Some (_, key, size) ->
+            [ ("guide partition", Push_guide key, float_of_int size +. tail) ]
+          | None -> []
         in
         let push, push_note =
-          match wbackend with
-          | Serial _ -> (push, push_note)
-          | Guide_partition -> (
-            match gpart_info with
-            | Some (cur, key, size) ->
-              ignore (guide_partition_view cat cur key);
-              (Push_guide key, Some (guide_push_note size))
-            | None -> (No_push, None))
-          | _ -> (No_push, None)
+          match partition with
+          | Some (cur, key, size) when float_of_int size +. tail < serial_cost Exec.Estimation ->
+            ignore (guide_partition_view cat cur key);
+            ( Push_guide key,
+              Some
+                (Printf.sprintf
+                   "yes (guide path partition) -- %d node(s) vs. estimated scan of %d node(s)" size
+                   touches) )
+          | Some _ | None -> (push, push_note)
         in
-        (wbackend, wcost, alternatives, push, push_note)
+        let _, _, cost = List.find (fun (_, p, _) -> p = push) extents in
+        let alternatives =
+          List.filter_map (fun (name, p, c) -> if p = push then None else Some (name, c)) extents
+        in
+        (Serial Exec.Estimation, cost, alternatives, push, push_note)
     in
     let out =
       let join_out = min cap touches in
@@ -1046,47 +952,30 @@ let run_join cat exec ~dir ~backend ~push context =
     match (backend, push) with
     | Naive, _ -> (Naive_join.step ~exec doc context Axis.Following, false)
     | _, Push_tag tag -> (Sj.following_view ~exec doc (tag_view cat tag) context, true)
-    | ( ( Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
-        | Guide_partition ),
-        (No_push | Push_elements | Push_guide _) ) ->
+    | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_guide _) ->
       (Sj.following ~exec doc context, false))
   | Preceding -> (
     match (backend, push) with
     | Naive, _ -> (Naive_join.step ~exec doc context Axis.Preceding, false)
     | _, Push_tag tag -> (Sj.preceding_view ~exec doc (tag_view cat tag) context, true)
-    | ( ( Serial _ | Parallel _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin
-        | Guide_partition ),
-        (No_push | Push_elements | Push_guide _) ) ->
+    | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_guide _) ->
       (Sj.preceding ~exec doc context, false))
   | (Desc | Anc) as dir -> (
     let descending = dir = Desc in
     match backend with
     | Serial mode -> (
       let exec = Exec.with_mode exec mode in
+      let over view =
+        ((if descending then Sj.desc_view else Sj.anc_view) ~exec doc view context, true)
+      in
+      let whole () = ((if descending then Sj.desc else Sj.anc) ~exec doc context, false) in
       match push with
-      | No_push | Push_guide _ ->
-        ((if descending then Sj.desc else Sj.anc) ~exec doc context, false)
-      | Push_tag tag ->
-        ( (if descending then Sj.desc_view else Sj.anc_view) ~exec doc (tag_view cat tag) context,
-          true )
-      | Push_elements ->
-        ( (if descending then Sj.desc_view else Sj.anc_view) ~exec doc (element_view cat) context,
-          true ))
-    | Guide_partition -> (
-      let exec = Exec.with_mode exec Exec.Estimation in
-      match push with
+      | Push_tag tag -> over (tag_view cat tag)
       | Push_guide key -> (
-        match Hashtbl.find_opt cat.guide_views key with
-        | Some view ->
-          (* partition members all satisfy the step's node test by
-             construction — the scan is pre-filtered *)
-          ((if descending then Sj.desc_view else Sj.anc_view) ~exec doc view context, true)
-        | None -> ((if descending then Sj.desc else Sj.anc) ~exec doc context, false))
-      | No_push | Push_tag _ | Push_elements ->
-        ((if descending then Sj.desc else Sj.anc) ~exec doc context, false))
-    | Parallel mode ->
-      let exec = Exec.with_mode exec mode in
-      ((if descending then Parallel_join.desc else Parallel_join.anc) ~exec doc context, false)
+        (* partition members all satisfy the step's node test by
+           construction — the scan is pre-filtered *)
+        match Hashtbl.find_opt cat.guide_views key with Some view -> over view | None -> whole ())
+      | No_push -> whole ())
     | Morsel mode ->
       let exec = Exec.with_mode exec mode in
       ((if descending then Morsel_join.desc else Morsel_join.anc) ~exec doc context, false)
@@ -1129,10 +1018,9 @@ let run_impl cat exec (ps : phys_step) context =
 (* [f], checking for cancellation every 4096 calls — for the filters a
    semijoin runs over whole fragments. *)
 let polled exec f =
-  let calls = ref 0 in
+  let tick = Exec.poller exec in
   fun v ->
-    incr calls;
-    if !calls land 4095 = 0 then Exec.checkpoint exec;
+    tick ();
     f v
 
 (* The nodes a named step selects anywhere in the document. *)
@@ -1329,12 +1217,7 @@ let exec_step cat exec context (ps : phys_step) =
         | Select_self -> Exec.annot exec "algorithm" "context filter (self)"
         | Empty_result -> Exec.annot exec "algorithm" "statically empty");
         (match ps.impl with
-        | Join
-            {
-              dir = (Desc | Anc) as dir;
-              backend = Serial _ | Parallel _ | Morsel _ | Paged | Guide_partition;
-              _;
-            } ->
+        | Join { dir = (Desc | Anc) as dir; backend = Serial _ | Morsel _ | Paged; _ } ->
           let partitions =
             match dir with
             | Desc -> Sj.desc_partitions doc context

@@ -17,20 +17,18 @@ module Sj = Scj_core.Staircase
 
     Per-document planning and execution state: memoized document
     statistics, element-only tag views (name-test pushdown and
-    semijoin fragments), attribute-name views (semijoin fragments), the
-    element view (wildcard pushdown), the B+-tree index of the SQL
+    semijoin fragments), attribute-name views (semijoin fragments),
+    dataguide path-partition views, the B+-tree index of the SQL
     baseline, and — when attached — the paged rendition of the
     document. *)
 
 type t
 
-(** [catalog ?paged ?domains ?guide doc] — [domains] (default
-    {!Exec.default_domains}) bounds what the cost model assumes for the
-    parallel backend; [paged] makes the paged staircase join plannable;
-    [guide] seeds the dataguide (e.g. one deserialized from a store)
-    instead of the lazy first-use build. *)
-val catalog :
-  ?paged:Scj_pager.Paged_doc.t -> ?domains:int -> ?guide:Scj_guide.Guide.t -> Doc.t -> t
+(** [catalog ?paged ?guide doc] — [paged] makes the paged staircase
+    join plannable; [guide] seeds the dataguide (e.g. one deserialized
+    from a store) instead of the lazy first-use build.  Plans do not
+    depend on the host's core count. *)
+val catalog : ?paged:Scj_pager.Paged_doc.t -> ?guide:Scj_guide.Guide.t -> Doc.t -> t
 
 val doc : t -> Doc.t
 
@@ -39,11 +37,10 @@ val doc : t -> Doc.t
     {!Scj_encoding.Update.applied}): memoized statistics are patched with
     {!Doc_stats.update}, the dataguide with {!Scj_guide.Guide.update},
     the B+-tree index is spliced with
-    {!Scj_engine.Sql_plan.maintain}, and the single-scan tag/element
-    views (including guide partition views) are dropped for lazy
-    rebuild.  Structures never materialized
-    stay unmaterialized — evolving costs nothing until the planner asked
-    for something.  The mutable index transfers to the returned catalog;
+    {!Scj_engine.Sql_plan.maintain}, and the single-scan tag and guide
+    partition views are dropped for lazy rebuild.  Structures never
+    materialized stay unmaterialized — evolving costs nothing until the
+    planner asked for something.  The mutable index transfers to the returned catalog;
     the old catalog must not execute queries afterwards. *)
 val evolve : ?paged:Scj_pager.Paged_doc.t -> t -> doc:Doc.t -> splice:int -> delta:int -> t
 
@@ -58,16 +55,15 @@ val guide : t -> Scj_guide.Guide.t
     memoized — the pushdown fragment. *)
 val tag_view : t -> string -> Sj.View.t
 
-(** All elements as a view — the wildcard-pushdown fragment. *)
-val element_view : t -> Sj.View.t
-
 (** Memoized B+-tree index for the Fig.-3 baseline. *)
 val sql_index : t -> Scj_engine.Sql_plan.index
 
 (** {1 Policy} *)
 
 type choice =
-  | Auto  (** cost-based: cheapest backend per step *)
+  | Auto
+      (** cost-based: the serial staircase over the cheapest extent for
+          descendant and ancestor steps *)
   | Force of Plan.backend  (** one backend for every partitioning step *)
 
 type pushdown = [ `Never | `Always | `Cost_based ]
@@ -77,8 +73,8 @@ type policy = {
   pushdown : pushdown;
   guide : bool;
       (** match structural step prefixes against the dataguide: exact
-          cardinalities and the guide-partition backend.  Off, the
-          planner estimates from flat [Doc_stats] alone. *)
+          cardinalities and guide-partition extents.  Off, the planner
+          estimates from flat [Doc_stats] alone. *)
 }
 
 (** [Auto] with cost-based pushdown and guide cardinalities. *)
@@ -104,9 +100,11 @@ val rewrite : Plan.logical -> Plan.logical
 
 (** [plan t policy ?context_card logical] lowers a (rewritten) logical
     plan: statistics propagate a context-cardinality estimate through the
-    steps, every partitioning step is costed across the available
-    backends, and the winner (or the forced backend) is recorded together
-    with the pushdown decision and the rejected alternatives.  Under
+    steps.  Under [Auto] every descendant and ancestor step is the serial
+    staircase join in estimation mode over the cheapest of its extents —
+    the document, the step's tag fragment or its guide path partition —
+    recorded with the pushdown decision and the rejected extents; a
+    forced backend runs every partitioning step.  Under
     [Auto], a step's transparent predicates ({!Plan.form}) are costed as
     semijoins over tag fragments against per-node evaluation, except on
     a relative path planned for one context node.

@@ -42,6 +42,7 @@ type service_stats = {
   completed : int;
   timed_out : int;
   failed : int;
+  internal : int;
   rejected : int;
   dropped : int;
   commits : int;
@@ -106,6 +107,7 @@ type t = {
   mutable completed : int;
   mutable timed_out : int;
   mutable failed : int;
+  mutable internal : int;
   mutable rejected : int;
   mutable dropped : int;
   mutable commits : int;
@@ -144,7 +146,9 @@ let finish t handle ~tally outcome =
     Histogram.add t.latency r.latency_ms;
     Stats.add t.work r.work
   | Timed_out -> t.timed_out <- t.timed_out + 1
-  | Failed _ -> t.failed <- t.failed + 1
+  | Failed e ->
+    t.failed <- t.failed + 1;
+    (match e with Error.Internal _ -> t.internal <- t.internal + 1 | _ -> ())
   | Dropped -> t.dropped <- t.dropped + 1);
   Mutex.unlock t.sm;
   Mutex.lock handle.hm;
@@ -167,7 +171,7 @@ let rec chain_back r target acc =
 let max_evolve_steps = 8
 
 let fresh_session t r =
-  Eval.session ?strategy:(Db.strategy t.db) ~paged:r.rpaged ~domains:1 r.rdoc
+  Eval.session ?strategy:(Db.strategy t.db) ~paged:r.rpaged r.rdoc
 
 (* the session this worker should use for rendition [r]: evolved
    incrementally when the delta chain is short, rebuilt otherwise.
@@ -274,12 +278,20 @@ let exec_query t ws handle =
         match Xq_compile.prepare svc ~lang:`Xquery src with
         | Ok p -> Ok (Xq_compile.run_prepared ~exec svc p)
         | Error e -> Error e)
-      | Step (axis, context) ->
-        let paged = Paged_doc.with_tally r.rpaged tally in
-        Ok
-          (match axis with
-          | `Desc -> Paged_doc.desc ~exec paged context
-          | `Anc -> Paged_doc.anc ~exec paged context)
+      | Step (axis, context) -> (
+        (* ranks are non-negative and sorted: the last bounds them all *)
+        let n = Doc.n_nodes r.rdoc in
+        match Nodeseq.last context with
+        | Some hi when hi >= n ->
+          Error
+            (Error.validation
+               (Printf.sprintf "step context rank %d outside the rendition's %d node(s)" hi n))
+        | Some _ | None ->
+          let paged = Paged_doc.with_tally r.rpaged tally in
+          Ok
+            (match axis with
+            | `Desc -> Paged_doc.desc ~exec paged context
+            | `Anc -> Paged_doc.anc ~exec paged context))
       | Write _ -> assert false
     with
     | Ok result ->
@@ -300,7 +312,9 @@ let exec_query t ws handle =
       (* dynamic XQuery errors (arity, coercion): the query is at fault *)
       finish t handle ~tally (Failed (Error.parse msg))
     | exception Scj_store.Store.Corrupt msg -> finish t handle ~tally (Failed (Error.corrupt msg))
-    | exception e -> finish t handle ~tally (Failed (Error.io (Printexc.to_string e))))
+    | exception ((Unix.Unix_error _ | Sys_error _) as e) ->
+      finish t handle ~tally (Failed (Error.io (Printexc.to_string e)))
+    | exception e -> finish t handle ~tally (Failed (Error.Internal (Printexc.to_string e))))
 
 (* The session for whichever pool domain is running this job. *)
 let worker_state_for t =
@@ -371,6 +385,7 @@ let create ?workers ?queue_bound ?deadline db =
       completed = 0;
       timed_out = 0;
       failed = 0;
+      internal = 0;
       rejected = 0;
       dropped = 0;
       commits = 0;
@@ -445,6 +460,7 @@ let stats t =
       completed = t.completed;
       timed_out = t.timed_out;
       failed = t.failed;
+      internal = t.internal;
       rejected = t.rejected;
       dropped = t.dropped;
       commits = t.commits;

@@ -78,7 +78,9 @@ type outcome =
   | Done of reply
   | Timed_out  (** deadline hit; aborted at a partition boundary *)
   | Failed of Scj_error.Error.t
-      (** parse errors, invalid updates, epoch conflicts, store faults *)
+      (** parse errors, invalid updates and step contexts, epoch
+          conflicts, store faults; any other exception the engine raises
+          is [Internal] *)
   | Dropped
       (** accepted but never run: the service shut down without draining
           ({!shutdown} with [~drain:false]) *)
@@ -95,6 +97,7 @@ type service_stats = {
   completed : int;
   timed_out : int;
   failed : int;
+  internal : int;  (** of [failed], the [Internal] errors: engine defects *)
   rejected : int;  (** submissions refused (backpressure or shutdown) *)
   dropped : int;  (** accepted queries abandoned by a no-drain shutdown *)
   commits : int;  (** writes committed *)

@@ -68,6 +68,12 @@ let with_check t check = { t with check }
 
 let checkpoint t = t.check ()
 
+let poller t =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    if !calls land 4095 = 0 then t.check ()
+
 let isolated ?check t =
   let check = match check with Some c -> c | None -> t.check in
   { mode = t.mode; stats = Stats.create (); trace = None; domains = t.domains; check }

@@ -10,7 +10,7 @@
     - the {!Scj_stats.Stats.t} counter set every inner loop bumps;
     - an optional {!Trace.t} recording hierarchical spans for
       EXPLAIN ANALYZE (absent by default: tracing costs nothing when off);
-    - the domain (worker) count for the partition-parallel join.
+    - the domain (worker) count of the morsel-driven join.
 
     [Exec.t] is immutable; its [stats] field is the shared mutable
     accumulator.  Derive a variant with {!with_mode} rather than
@@ -35,7 +35,11 @@ type t = {
   mode : skip_mode;  (** skipping variant for staircase joins *)
   stats : Scj_stats.Stats.t;  (** shared work-counter accumulator *)
   trace : Trace.t option;  (** span recorder, [None] when not analyzing *)
-  domains : int;  (** worker count for {!Scj_frag.Parallel} *)
+  domains : int;
+      (** execution width: how many pool workers a (forced) morsel join
+          runs on at once, and the worker count of the
+          {!Scj_frag.Parallel} experiment.  The planner never reads it:
+          plans are the same on every host. *)
   check : unit -> unit;
       (** cancellation hook, invoked by the joins between partition scans
           and by the evaluator between steps ({!checkpoint}).  Raising from
@@ -82,6 +86,12 @@ val with_check : t -> (unit -> unit) -> t
     between partition scans; free (one indirect call) when no hook is
     installed. *)
 val checkpoint : t -> unit
+
+(** [poller t] — a tick that runs {!checkpoint} once every 4,096
+    calls, for loops over candidates or rows whose bodies may run no
+    join at all (a FLWOR cross product returning a constant), so a
+    deadline still interrupts them. *)
+val poller : t -> unit -> unit
 
 (** [isolated t] — a context with the same mode/domains/cancellation hook
     but a {e fresh} counter set and no tracer: what the query service

@@ -30,13 +30,11 @@ let strategy_names =
   [
     "auto";
     "auto-flat";
-    "guide";
     "staircase";
     "staircase-noskip";
     "staircase-skip";
     "staircase-estimate";
     "staircase-exact";
-    "parallel";
     "morsel";
     "paged";
     "sql";
@@ -51,12 +49,10 @@ let strategy_of_string name =
   match name with
   | "auto" -> Some default_strategy
   | "auto-flat" -> Some { default_strategy with backend = `Auto_flat }
-  | "guide" -> forced Plan.Guide_partition
   | "staircase" | "staircase-estimate" -> forced (Plan.Serial Exec.Estimation)
   | "staircase-noskip" -> forced (Plan.Serial Exec.No_skipping)
   | "staircase-skip" -> forced (Plan.Serial Exec.Skipping)
   | "staircase-exact" -> forced (Plan.Serial Exec.Exact_size)
-  | "parallel" -> forced (Plan.Parallel Exec.Estimation)
   | "morsel" -> forced (Plan.Morsel Exec.Estimation)
   | "paged" -> forced Plan.Paged
   | "sql" -> forced (Plan.Btree { delimiter = true })
@@ -74,8 +70,8 @@ type session = {
       (* planned-once cache, keyed by path and context cardinality *)
 }
 
-let session ?(strategy = default_strategy) ?paged ?domains ?guide doc =
-  { doc; strategy; catalog = Planner.catalog ?paged ?domains ?guide doc; plans = Hashtbl.create 16 }
+let session ?(strategy = default_strategy) ?paged ?guide doc =
+  { doc; strategy; catalog = Planner.catalog ?paged ?guide doc; plans = Hashtbl.create 16 }
 
 let doc_of_session s = s.doc
 

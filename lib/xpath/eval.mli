@@ -3,10 +3,12 @@
     A path is compiled into the logical plan IR of {!Scj_plan.Plan},
     rewritten ({!Scj_plan.Planner.rewrite} — step fusion, prune hoisting,
     predicate reordering), and lowered by the cost-based planner into a
-    physical operator tree that names the join backend of every
-    partitioning step (serial blit staircase × skip mode, the parallel
-    and paged staircase variants, the Fig.-3 B+-tree/SQL plan, MPMGJN,
-    structural join, or naive region queries).  {!eval_path} executes
+    physical operator tree that names the join backend and extent of
+    every partitioning step (under Auto the serial staircase over the
+    document, a tag fragment or a guide path partition; forced, the
+    serial staircase in any skip mode, the morsel and paged staircase
+    variants, the Fig.-3 B+-tree/SQL plan, MPMGJN, structural join, or
+    naive region queries).  {!eval_path} executes
     that tree; {!explain}, {!plan_json} and {!analyze} render the very
     same tree, so EXPLAIN always shows what runs.
 
@@ -22,14 +24,15 @@ module Nodeseq = Scj_encoding.Nodeseq
 module Plan = Scj_plan.Plan
 module Planner = Scj_plan.Planner
 
-(** How the planner picks the join backend: [`Auto] costs every backend
-    per step and takes the cheapest; [`Auto_flat] is [`Auto] with the
+(** How the planner picks the join backend: [`Auto] runs the serial
+    staircase over the cheapest extent of each descendant and ancestor
+    step; [`Auto_flat] is [`Auto] with the
     dataguide disabled — cardinalities come from flat
     {!Scj_stats.Doc_stats} alone (the ablation baseline for the path
     summary); [`Force b] pins one backend for all partitioning steps
-    (the §4.4 ablation harness).  [pushdown] controls the
-    name-test/wildcard fragment rewrite: [`Cost_based] compares the
-    fragment view size against the estimated un-pushed scan. *)
+    (the §4.4 ablation harness).  [pushdown] controls the name-test
+    fragment rewrite: [`Cost_based] compares the fragment view size
+    against the estimated un-pushed scan. *)
 type strategy = {
   backend : [ `Auto | `Auto_flat | `Force of Plan.backend ];
   pushdown : [ `Never | `Always | `Cost_based ];
@@ -41,28 +44,23 @@ val default_strategy : strategy
 val strategy_to_string : strategy -> string
 
 (** CLI spellings accepted by {!strategy_of_string}: [auto], [auto-flat],
-    [guide], [staircase],
-    [staircase-noskip]/[-skip]/[-estimate]/[-exact], [parallel], [paged],
-    [sql], [sql-nodelimiter], [mpmgjn], [structjoin], [naive]. *)
+    [staircase], [staircase-noskip]/[-skip]/[-estimate]/[-exact],
+    [morsel], [paged], [sql], [sql-nodelimiter], [mpmgjn], [structjoin],
+    [naive]. *)
 val strategy_names : string list
 
 val strategy_of_string : string -> strategy option
 
 (** A session owns the planner catalog for one document: memoized
-    statistics, tag/element views, the B+-tree index, and the plan cache.
-    [paged] attaches a buffer-pool rendition so the paged staircase
-    backend becomes plannable; [domains] bounds the parallel backend;
-    [guide] seeds the catalog's dataguide (e.g. one a store
-    deserialized) instead of the lazy first-use build. *)
+    statistics, tag and partition views, the B+-tree index, and the plan
+    cache.  [paged] attaches a buffer-pool rendition so the paged
+    staircase backend becomes plannable; [guide] seeds the catalog's
+    dataguide (e.g. one a store deserialized) instead of the lazy
+    first-use build. *)
 type session
 
 val session :
-  ?strategy:strategy ->
-  ?paged:Scj_pager.Paged_doc.t ->
-  ?domains:int ->
-  ?guide:Scj_guide.Guide.t ->
-  Doc.t ->
-  session
+  ?strategy:strategy -> ?paged:Scj_pager.Paged_doc.t -> ?guide:Scj_guide.Guide.t -> Doc.t -> session
 
 val doc_of_session : session -> Doc.t
 

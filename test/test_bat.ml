@@ -149,14 +149,22 @@ let prop_bulk_matches_pointwise =
       done;
       Int_col.equal bulk point)
 
-(* Property: a column behaves like a growable array. *)
+(* Property: a column behaves like a growable array, whether it grows
+   from capacity 1 or is created at exactly its final length (the
+   full-buffer edge of [to_array]). *)
 let prop_model =
   QCheck.Test.make ~count:300 ~name:"int_col behaves like list"
     QCheck.(list small_signed_int)
     (fun values ->
-      let c = Int_col.create ~capacity:1 () in
-      List.iter (Int_col.append_unit c) values;
-      Int_col.to_list c = values && Int_col.length c = List.length values)
+      let n = List.length values in
+      List.for_all
+        (fun capacity ->
+          let c = Int_col.create ~capacity () in
+          List.iter (Int_col.append_unit c) values;
+          Int_col.to_list c = values
+          && Int_col.to_array c = Array.of_list values
+          && Int_col.length c = n)
+        [ 1; max 1 n ])
 
 let prop_first_ge =
   QCheck.Test.make ~count:300 ~name:"first_ge agrees with linear scan"

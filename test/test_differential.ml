@@ -206,6 +206,7 @@ let shape_cases =
 
 module Ast = Scj_xpath.Ast
 module Eval = Scj_xpath.Eval
+module Plan = Scj_plan.Plan
 
 let fuzz_axes =
   [|
@@ -327,6 +328,11 @@ and oracle_pred doc e ~node ~pos ~last =
   | Ast.Last -> pos = last
   | e -> truth e
 
+let rec plan_steps = function
+  | Plan.P_source _ -> []
+  | Plan.P_step (input, ps) -> plan_steps input @ [ ps ]
+  | Plan.P_union ps -> List.concat_map plan_steps ps
+
 let planner_paths shape seed =
   let doc = Fuzz.doc shape seed in
   let ctx = Fuzz.context doc seed in
@@ -347,7 +353,21 @@ let planner_paths shape seed =
       fail_at shape seed "planner path %s: expected %s, got %s"
         (Ast.path_to_string path)
         (Format.asprintf "%a" Nodeseq.pp expected)
-        (Format.asprintf "%a" Nodeseq.pp actual)
+        (Format.asprintf "%a" Nodeseq.pp actual);
+    (* Auto runs one kernel: every descendant/ancestor join, relative or
+       absolute, is the serial staircase in estimation mode *)
+    List.iter
+      (fun (path, card) ->
+        List.iter
+          (fun (ps : Plan.phys_step) ->
+            match ps.Plan.impl with
+            | Plan.Join { dir = Plan.Desc | Plan.Anc; backend; _ }
+              when backend <> Plan.Serial Exec.Estimation ->
+              fail_at shape seed "planner path %s: %s planned as %s" (Ast.path_to_string path)
+                (Plan.step_to_string ps.Plan.step) (Plan.backend_to_string backend)
+            | Plan.Join _ | Plan.Structural | Plan.Select_self | Plan.Empty_result -> ())
+          (plan_steps (Eval.path_plan ~context_card:card session path)))
+      [ (path, Nodeseq.length ctx); ({ path with Ast.absolute = true }, 1) ]
   done
 
 let test_planner_shape shape () = List.iter (planner_paths shape) seeds
@@ -509,18 +529,20 @@ let planner_cases =
 
 (* Random absolute structural paths (the region where the dataguide
    drives cardinalities and path partitions) evaluated three ways —
-   auto with the guide, auto restricted to flat statistics, and the
-   forced guide-partition backend — must all be bit-identical to the
-   spec oracle folded from the root. *)
+   auto with the guide, auto restricted to flat statistics, and auto
+   with every fragment pushed, so partition scans run wherever a
+   partition is smaller than the tag fragment — must all be
+   bit-identical to the spec oracle folded from the root. *)
 
 module Guide = Scj_guide.Guide
 
 let guide_axes = [| Axis.Child; Axis.Descendant; Axis.Descendant_or_self; Axis.Ancestor |]
 
 let guide_strategies =
-  List.filter_map
-    (fun name -> Option.map (fun s -> (name, s)) (Eval.strategy_of_string name))
-    [ "auto"; "auto-flat"; "guide" ]
+  ("auto, pushdown=always", { Eval.default_strategy with Eval.pushdown = `Always })
+  :: List.filter_map
+       (fun name -> Option.map (fun s -> (name, s)) (Eval.strategy_of_string name))
+       [ "auto"; "auto-flat" ]
 
 (* Absolute paths start at a virtual document node above the root
    element: its one child is pre 0, its descendants are the whole tree,

@@ -284,6 +284,21 @@ let test_nodeseq_set_ops () =
   Alcotest.check nodeseq "inter" (Nodeseq.of_unsorted [ 3; 7 ]) (Nodeseq.inter a b);
   Alcotest.check nodeseq "diff" (Nodeseq.of_unsorted [ 1; 5 ]) (Nodeseq.diff a b);
   Alcotest.check nodeseq "union empty" a (Nodeseq.union a Nodeseq.empty);
+  (* merges that fill their whole output buffer, and ones that do not,
+     return exactly the result's length *)
+  let odd = Nodeseq.of_unsorted [ 2; 4; 6 ] in
+  List.iter
+    (fun (what, expected, actual) ->
+      Alcotest.check nodeseq what expected actual;
+      check_int (what ^ ": exact length") (Nodeseq.length expected) (Nodeseq.length actual))
+    [
+      ("disjoint union", Nodeseq.of_unsorted [ 1; 2; 3; 4; 5; 6; 7 ], Nodeseq.union a odd);
+      ("overlapping union", Nodeseq.of_unsorted [ 1; 3; 4; 5; 7; 9 ], Nodeseq.union a b);
+      ("inter with itself", a, Nodeseq.inter a (Nodeseq.of_unsorted [ 1; 3; 5; 7 ]));
+      ("partial inter", Nodeseq.of_unsorted [ 3; 7 ], Nodeseq.inter a b);
+      ("diff of a disjoint set", a, Nodeseq.diff a odd);
+      ("partial diff", Nodeseq.of_unsorted [ 1; 5 ], Nodeseq.diff a b);
+    ];
   let seen = ref [] in
   Alcotest.check nodeseq "filter" (Nodeseq.of_unsorted [ 3; 7 ])
     (Nodeseq.filter

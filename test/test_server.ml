@@ -174,6 +174,74 @@ let test_timeout_does_not_poison_pool () =
   check_int "pins drained at the end" 0 (Buffer_pool.pinned (Paged_doc.pool paged));
   Server.shutdown server
 
+(* A FLWOR cross product whose return runs no path: only the row loops'
+   own polling lets the deadline interrupt it. *)
+let test_flwor_deadline () =
+  let doc = Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.1 ())) in
+  let server = server_over ~workers:1 doc (Paged_doc.load ~capacity:64 doc) in
+  let cross = "let $xs := //person for $a in $xs for $b in $xs return 1" in
+  (match Server.run ~deadline:0.05 server (Server.Xquery cross) with
+  | Server.Timed_out -> ()
+  | Server.Done r ->
+    Alcotest.failf "expected a timeout, %d item(s) after %.0f ms" (Nodeseq.length r.Server.result)
+      r.Server.latency_ms
+  | Server.Failed e -> Alcotest.failf "expected a timeout, got failure: %s" (Err.to_string e)
+  | Server.Dropped -> Alcotest.fail "expected a timeout, query dropped");
+  (match Server.run server (Server.Path "/site/people/person[1]") with
+  | Server.Done r -> check_int "worker serves after the timeout" 1 (Nodeseq.length r.Server.result)
+  | _ -> Alcotest.fail "worker did not survive the timed-out FLWOR");
+  Server.shutdown server
+
+(* Failures are classed by cause: a step context outside the pinned
+   rendition is the caller's ([Validation], before any join runs), a
+   device error is [Io], and any other exception is an engine defect
+   ([Internal], counted apart).  The worker keeps serving after each. *)
+let test_error_classes () =
+  let doc = Fuzz.doc Fuzz.Uniform 3 in
+  let n = Doc.n_nodes doc in
+  let failing exn =
+    let page_ints = 8 in
+    let length = 3 * (((n + 1) / page_ints) + 1) * page_ints in
+    let store = Buffer_pool.Store.of_fn ~page_ints ~length (fun _ -> raise exn) in
+    Paged_doc.attach ~n ~height:(Doc.height doc)
+      (Buffer_pool.create ~capacity:8 store)
+  in
+  let still_serves server =
+    match Server.run server (Server.Path "/descendant::a") with
+    | Server.Done _ -> ()
+    | _ -> Alcotest.fail "worker did not survive the failure"
+  in
+  let expect what server q classify =
+    match Server.run server q with
+    | Server.Failed e when classify e -> still_serves server
+    | Server.Failed e -> Alcotest.failf "%s: wrong class: %s" what (Err.to_string e)
+    | Server.Done _ -> Alcotest.failf "%s: query succeeded" what
+    | Server.Timed_out | Server.Dropped -> Alcotest.failf "%s: no answer" what
+  in
+  let server = server_over ~workers:1 doc (Paged_doc.load ~page_ints:8 ~capacity:8 doc) in
+  List.iter
+    (fun ctx ->
+      expect "out-of-range step context" server
+        (Server.Step (`Desc, Nodeseq.of_unsorted ctx))
+        (function Err.Validation _ -> true | _ -> false))
+    [ [ 0; n ]; [ n + 7 ] ];
+  check_int "no internal errors" 0 (Server.stats server).Server.internal;
+  Server.shutdown server;
+  let server = server_over ~workers:1 doc (failing (Failure "injected defect")) in
+  expect "defect" server (Server.Step (`Desc, Nodeseq.singleton 0)) (function
+    | Err.Internal _ -> true
+    | _ -> false);
+  let stats = Server.stats server in
+  check_int "internal counted" 1 stats.Server.internal;
+  check_int "internal is a failure" 1 stats.Server.failed;
+  Server.shutdown server;
+  let server = server_over ~workers:1 doc (failing (Sys_error "injected device error")) in
+  expect "device error" server (Server.Step (`Anc, Nodeseq.singleton (n - 1))) (function
+    | Err.Io _ -> true
+    | _ -> false);
+  check_int "io is not internal" 0 (Server.stats server).Server.internal;
+  Server.shutdown server
+
 (* Parse errors are Failed, not crashes, and don't take a worker down. *)
 let test_failed_query_is_isolated () =
   let doc = Fuzz.doc Fuzz.Tiny 1 in
@@ -635,6 +703,8 @@ let () =
             test_timeout_does_not_poison_pool;
           Alcotest.test_case "failed queries are isolated" `Quick
             test_failed_query_is_isolated;
+          Alcotest.test_case "FLWOR row loops meet the deadline" `Quick test_flwor_deadline;
+          Alcotest.test_case "failures classed by cause" `Quick test_error_classes;
           Alcotest.test_case "shutdown drains or drops" `Quick test_shutdown_drains_or_drops;
           Alcotest.test_case "backpressure rejects beyond the bound" `Quick
             test_backpressure_rejects;

@@ -23,9 +23,7 @@ let xmark = lazy (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.confi
 
 let explain strategy path =
   let doc = Lazy.force xmark in
-  (* one domain: more would add the parallel and morsel candidates to
-     auto's rejected list on multi-core hosts *)
-  let session = Eval.session ~domains:1 ~strategy doc in
+  let session = Eval.session ~strategy doc in
   match Scj_xpath.Parse.path path with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok p -> Eval.explain session p
@@ -267,13 +265,13 @@ plan:
     pushdown: yes (join over the fragment) -- tag fragment 'increase': 147 node(s) vs. estimated scan of 6737 node(s)
     guide: exact card=147 over 1 path(s)
     est: in=1 touches=6737 out=147 cost=158
-    rejected: sql-btree cost=99167, mpmgjn cost=13475, structjoin cost=13475, naive cost=6738, staircase(guide-partition) cost=158
+    rejected: document cost=6748, guide partition cost=158
   join: ancestor::bidder
     backend: staircase join (serial, estimation)
     pushdown: yes (join over the fragment) -- tag fragment 'bidder': 147 node(s) vs. estimated scan of 588 node(s)
     guide: upper bound card<=147 over 1 path(s)
     est: in=147 touches=588 out=147 cost=1764
-    rejected: sql-btree cost=8455, mpmgjn cost=7326, structjoin cost=7326, naive cost=990486, staircase(guide-partition) cost=1764
+    rejected: document cost=2205, guide partition cost=1764
 
 equivalent pure-SQL translation (§2.1):
 SELECT DISTINCT v2.pre

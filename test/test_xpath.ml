@@ -33,7 +33,7 @@ let strategies =
     { Eval.backend = `Force (Plan.Serial Sj.Estimation); pushdown = `Cost_based };
     { Eval.backend = `Force (Plan.Serial Sj.Exact_size); pushdown = `Cost_based };
     { Eval.backend = `Auto; pushdown = `Cost_based };
-    { Eval.backend = `Force (Plan.Parallel Sj.Estimation); pushdown = `Never };
+    { Eval.backend = `Force (Plan.Morsel Sj.Estimation); pushdown = `Never };
     { Eval.backend = `Force Plan.Naive; pushdown = `Never };
     { Eval.backend = `Force (Plan.Btree { delimiter = true }); pushdown = `Never };
     { Eval.backend = `Force (Plan.Btree { delimiter = false }); pushdown = `Never };

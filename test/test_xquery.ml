@@ -451,11 +451,8 @@ let test_cache_bound () =
 (* golden plans: EXPLAIN and --json for a compiled value join           *)
 (* ------------------------------------------------------------------ *)
 
-(* one domain, so the embedded path plans do not follow the host's cores *)
 let xmark_session =
-  lazy
-    (Eval.session ~domains:1
-       (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.003 ()))))
+  lazy (Eval.session (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.003 ()))))
 
 let xmark_join_query =
   "for $p in //person for $a in //closed_auction where $a/buyer/@person = $p/@id return $p/name"
@@ -607,6 +604,26 @@ let test_plan_rejected_join () =
   check_contains "explain" plan "note: value join rejected for $b";
   check_contains "explain" plan "where: $a/child::year = $b/child::year"
 
+(* A cross product whose return clause runs no path reaches no join's
+   checkpoint: the FLWOR row loops must poll the cancellation hook
+   themselves, once per 4,096 rows. *)
+let test_flwor_row_loops_poll () =
+  let doc = Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.01 ())) in
+  let calls = ref 0 in
+  let exec = Exec.make ~check:(fun () -> incr calls) () in
+  match
+    Xqc.run ~exec (Eval.session doc) "let $xs := //person for $a in $xs for $b in $xs return 1"
+  with
+  | Error e -> Alcotest.failf "cross product failed: %s" e
+  | Ok v ->
+    let rows = List.length v in
+    let persons = Nodeseq.length (Eval.run_exn (Eval.session doc) "//person") in
+    check_int "one row per pair" (persons * persons) rows;
+    check_bool
+      (Printf.sprintf "%d hook calls for %d rows" !calls rows)
+      true
+      (!calls >= rows / 4096)
+
 let () =
   Alcotest.run "scj_xquery"
     [
@@ -632,7 +649,11 @@ let () =
           Alcotest.test_case "serialization" `Quick test_serialize;
           Alcotest.test_case "evaluation errors" `Quick test_eval_errors;
         ] );
-      ("xmark", [ Alcotest.test_case "pathfinder scenario" `Quick test_xmark_flwor ]);
+      ( "xmark",
+        [
+          Alcotest.test_case "pathfinder scenario" `Quick test_xmark_flwor;
+          Alcotest.test_case "row loops poll the deadline" `Quick test_flwor_row_loops_poll;
+        ] );
       ( "formatting",
         [ Alcotest.test_case "shortest round-trip floats" `Quick test_float_format ] );
       ( "compiler",

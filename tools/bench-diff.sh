@@ -25,11 +25,15 @@
 # interpreter results; join-free programs counter-identical) and its
 # count_work_* / count_flwor_result keys like any other counts.
 #
+# A gated key the baseline has and the fresh run lacks fails the gate:
+# counter_parity, count_*, hit_rate* and speedup_floor_* annotations, work
+# counters, and whole experiments.  A missing baseline fails too.
+#
 # Refreshing the baseline (after an intentional work-profile change):
 #   dune exec bench/main.exe -- --smoke --json | tail -1 > BENCH_baseline.json
 #
-# Skips with success when python3 or the baseline is missing so the
-# script stays runnable in minimal images.
+# Skips with success when python3 is missing so the script stays
+# runnable in minimal images.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,9 +44,9 @@ if ! command -v python3 >/dev/null 2>&1; then
 fi
 
 if [ ! -f BENCH_baseline.json ]; then
-  echo "bench-diff: BENCH_baseline.json missing, skipping (refresh with:" >&2
+  echo "bench-diff: BENCH_baseline.json missing (create it with:" >&2
   echo "  dune exec bench/main.exe -- --smoke --json | tail -1 > BENCH_baseline.json)" >&2
-  exit 0
+  exit 1
 fi
 
 fresh=$(mktemp)
@@ -75,6 +79,15 @@ def counters(span):
     return work or {}
 
 
+def gated(key):
+    return (
+        key == "counter_parity"
+        or key.startswith("count_")
+        or key.startswith("hit_rate")
+        or key.startswith("speedup_floor")
+    )
+
+
 problems = []
 base_by_name = {s["name"]: s for s in baseline}
 for span in fresh:
@@ -84,11 +97,14 @@ for span in fresh:
         print(f"bench-diff: note: new experiment {name!r} not in baseline")
         continue
     attrs = span.get("attrs") or {}
+    base_attrs = base.get("attrs") or {}
+    for key in sorted(base_attrs):
+        if gated(key) and key not in attrs:
+            problems.append(f"{name}: gated key {key} in the baseline, missing from fresh run")
     if attrs.get("counter_parity", "true") != "true":
         problems.append(f"{name}: counter_parity is {attrs['counter_parity']}")
     if "blit_speedup" in attrs:
         print(f"bench-diff: {name}: blit_speedup {attrs['blit_speedup']}x (informational)")
-    base_attrs = base.get("attrs") or {}
     for key, val in sorted(attrs.items()):
         # throughput is wall-clock-bound: report, never gate
         if key.startswith("qps_"):
@@ -131,7 +147,11 @@ for span in fresh:
     if has_measurement(span):
         continue  # counters scale with bechamel iterations; not comparable
     base_work = counters(base)
-    for key, fresh_v in counters(span).items():
+    fresh_work = counters(span)
+    for key in sorted(base_work):
+        if key not in fresh_work:
+            problems.append(f"{name}: work counter {key} in the baseline, missing from fresh run")
+    for key, fresh_v in fresh_work.items():
         base_v = base_work.get(key, 0)
         if base_v == 0:
             continue
