@@ -409,6 +409,7 @@ let copykernel () =
   let root = root_seq doc in
   (* parity gate: blit vs per-node reference, results and counters,
      all four skip modes *)
+  let modes = [ Sj.No_skipping; Sj.Skipping; Sj.Estimation; Sj.Exact_size ] in
   let parity =
     List.for_all
       (fun mode ->
@@ -416,9 +417,34 @@ let copykernel () =
         let r_blit = Sj.desc ~exec:(Exec.make ~mode ~stats:s_blit ()) doc root in
         let r_ref = Sj.Reference.desc ~exec:(Exec.make ~mode ~stats:s_ref ()) doc root in
         Nodeseq.equal r_blit r_ref && Stats.all_assoc s_blit = Stats.all_assoc s_ref)
-      [ Sj.No_skipping; Sj.Skipping; Sj.Estimation; Sj.Exact_size ]
+      modes
   in
-  Trace.annot !tracer "counter_parity" (string_of_bool parity);
+  (* the node-test kernel against the per-node reference join followed by
+     the test (and the or-self union), results and counters, over the
+     root and the Q1 profile contexts *)
+  let _, profiles = q1_contexts doc in
+  let elements = Sj.Kind Doc.Element in
+  let is_element v = Doc.kind doc v = Doc.Element in
+  let kernel_parity =
+    List.for_all
+      (fun (ctx, mode, or_self) ->
+        let s_kernel = Stats.create () and s_ref = Stats.create () in
+        let r_kernel =
+          Sj.desc_test ~exec:(Exec.make ~mode ~stats:s_kernel ()) ~or_self doc elements ctx
+        in
+        let r_ref =
+          let joined =
+            Nodeseq.filter is_element
+              (Sj.Reference.desc ~exec:(Exec.make ~mode ~stats:s_ref ()) doc ctx)
+          in
+          if or_self then Nodeseq.union joined (Nodeseq.filter is_element ctx) else joined
+        in
+        Nodeseq.equal r_kernel r_ref && Stats.all_assoc s_kernel = Stats.all_assoc s_ref)
+      (List.concat_map
+         (fun ctx -> List.concat_map (fun mode -> [ (ctx, mode, false); (ctx, mode, true) ]) modes)
+         [ root; profiles ])
+  in
+  Trace.annot !tracer "counter_parity" (string_of_bool (parity && kernel_parity));
   (* phase composition of the measured join *)
   let stats = Stats.create () in
   let (_ : Nodeseq.t) = Sj.desc ~exec:(Exec.make ~mode:Sj.Estimation ~stats ()) doc root in
@@ -439,10 +465,24 @@ let copykernel () =
   in
   line "blit" blit_ns ref_ns;
   Trace.annot !tracer "blit_speedup" (Printf.sprintf "%.2f" (ref_ns /. blit_ns));
+  (* (root)/descendant-or-self::*, the //* step: join, filter and union
+     against the kernel that tests while it writes *)
+  let filtered_ns =
+    measure_ns ~name:"join-filter" (fun () ->
+        let joined = Sj.desc ~exec:(bench_exec ~mode:Sj.Estimation ()) doc root in
+        ignore (Nodeseq.union (Nodeseq.filter is_element joined) (Nodeseq.filter is_element root)))
+  in
+  line "join+filter *" filtered_ns filtered_ns;
+  let kernel_ns =
+    measure_ns ~name:"kind-kernel" (fun () ->
+        ignore
+          (Sj.desc_test ~exec:(bench_exec ~mode:Sj.Estimation ()) ~or_self:true doc elements root))
+  in
+  line "kernel *" kernel_ns filtered_ns;
+  Trace.annot !tracer "speedup_info_kind_kernel" (Printf.sprintf "%.2f" (filtered_ns /. kernel_ns));
   (* the parallel rows need a multi-partition staircase: the Q1 profile
      context (one partition per surviving context node, weighted
      chunking balances the scan lengths) *)
-  let _, profiles = q1_contexts doc in
   let ctx_stats = Stats.create () in
   let (_ : Nodeseq.t) =
     Sj.desc ~exec:(Exec.make ~mode:Sj.Estimation ~stats:ctx_stats ()) doc profiles
@@ -469,8 +509,9 @@ let copykernel () =
       in
       line ~work:ctx_work (Printf.sprintf "ctx blit %dd" domains) ns par_ref_ns)
     [ 1; 2; 4 ];
-  Printf.printf "copy/scan composition: %d copied, %d scanned (counter parity: %b)\n"
-    stats.Stats.copied stats.Stats.scanned parity;
+  Printf.printf
+    "copy/scan composition: %d copied, %d scanned (counter parity: blit %b, node-test kernel %b)\n"
+    stats.Stats.copied stats.Stats.scanned parity kernel_parity;
   print_endline
     "(the copy phase is comparison-free -- Equation (1) turns it into bulk range fills;\n\
     \ parallel rows pay one Domain.spawn per worker per run, which dominates at small scales)"
@@ -1418,6 +1459,16 @@ let smoke_experiments =
     "workload"; "store"; "mutate"; "shard"; "flwor";
   ]
 
+(* The spans that report counter_parity=false, as experiment/span paths:
+   a parity failure is a wrong answer, not a slow one, so it fails the
+   run. *)
+let parity_failures roots =
+  let rec go path (sp : Trace.span) =
+    (if List.mem ("counter_parity", "false") sp.Trace.attrs then [ path ] else [])
+    @ List.concat_map (fun (c : Trace.span) -> go (path ^ "/" ^ c.Trace.name) c) sp.Trace.children
+  in
+  List.concat_map (fun (sp : Trace.span) -> go sp.Trace.name sp) roots
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
@@ -1453,8 +1504,13 @@ let () =
     (scales ());
   List.iter (fun (name, fn) -> Trace.span !tracer name fn) selected;
   match !tracer with
-  | Some tr ->
+  | Some tr -> (
     (* one span per experiment, measurements nested inside — the same
        span shape 'scj analyze --json' emits *)
-    print_endline (Trace.to_json tr)
+    print_endline (Trace.to_json tr);
+    match parity_failures (Trace.roots tr) with
+    | [] -> ()
+    | failed ->
+      List.iter (Printf.eprintf "bench: counter parity failed in %s\n") failed;
+      exit 1)
   | None -> ()

@@ -250,21 +250,90 @@ let desc_phases ~mode doc ~lo ~hi ~boundary f =
   if hi > copy_to then
     f (if mode = Exact_size then Skip else Desc_scan) ~lo:(copy_to + 1) ~hi ~boundary
 
-let run_phase ~mode doc stats out phase ~lo ~hi ~boundary =
+let nonattr doc ~lo ~hi = if hi < lo then 0 else hi - lo + 1 - Doc.attr_count_range doc ~lo ~hi
+
+(* One phase of a descendant partition over the in-memory columns: books
+   its counters and returns the rank just past the nodes it selects — a
+   copy phase its whole range, a scan phase the prefix [desc_scan] finds,
+   a skip phase none.  The selected ranks, attributes aside, are the
+   phase's result. *)
+let desc_phase_stop ~mode doc stats phase ~lo ~hi ~boundary =
   match phase with
-  | Copy -> count_copy stats ~lo ~hi ~appended:(Doc.append_nonattr_range doc out ~lo ~hi)
+  | Copy ->
+    count_copy stats ~lo ~hi ~appended:(nonattr doc ~lo ~hi);
+    hi + 1
   | Desc_scan ->
     let stop =
       desc_scan ~skip:(mode <> No_skipping) stats (Doc.post_array doc) ~off:0 ~lo ~hi ~limit:hi
         ~boundary
     in
-    stats.Stats.appended <-
-      stats.Stats.appended + Doc.append_nonattr_range doc out ~lo ~hi:(stop - 1)
+    stats.Stats.appended <- stats.Stats.appended + nonattr doc ~lo ~hi:(stop - 1);
+    stop
+  | Skip ->
+    stats.Stats.skipped <- stats.Stats.skipped + (hi - lo + 1);
+    lo
+  | Anc_scan -> invalid_arg "Staircase.desc_phase_stop: ancestor phase"
+
+let run_phase ~mode doc stats out phase ~lo ~hi ~boundary =
+  match phase with
   | Anc_scan ->
     ignore
       (anc_scan ~mode stats ~posts:(Doc.post_array doc) ~sizes:(Doc.size_array doc) ~off:0 ~lo
          ~hi ~limit:hi ~boundary out)
-  | Skip -> stats.Stats.skipped <- stats.Stats.skipped + (hi - lo + 1)
+  | Copy | Desc_scan | Skip ->
+    let stop = desc_phase_stop ~mode doc stats phase ~lo ~hi ~boundary in
+    ignore (Doc.append_nonattr_range doc out ~lo ~hi:(stop - 1))
+
+(* ------------------------------------------------------------------ *)
+(* node tests inside the join                                           *)
+(* ------------------------------------------------------------------ *)
+
+type node_test = Kind of Doc.kind | Named of Doc.kind * int
+
+(* The joins never select attributes, and the kernels' range passes do
+   not skip them: a test of that kind has no meaning here. *)
+let check_test = function
+  | Kind Doc.Attribute | Named (Doc.Attribute, _) ->
+    invalid_arg "Staircase: a join's node test cannot select attributes"
+  | Kind _ | Named _ -> ()
+
+let passes (kinds : Doc.kind array) (tags : int array) test v =
+  match test with Kind k -> kinds.(v) = k | Named (k, sym) -> kinds.(v) = k && tags.(v) = sym
+
+(* The ranks in [lo .. hi] that pass [test]: counted, or written to [out]
+   from index [pos] on (returning the next free index).  The test is
+   matched once per range, so each loop body is a load and a compare. *)
+let count_passing (kinds : Doc.kind array) (tags : int array) test ~lo ~hi =
+  let n = ref 0 in
+  (match test with
+  | Kind k ->
+    for i = lo to hi do
+      if kinds.(i) = k then incr n
+    done
+  | Named (k, sym) ->
+    for i = lo to hi do
+      if kinds.(i) = k && tags.(i) = sym then incr n
+    done);
+  !n
+
+let fill_passing (kinds : Doc.kind array) (tags : int array) test out pos ~lo ~hi =
+  let j = ref pos in
+  (match test with
+  | Kind k ->
+    for i = lo to hi do
+      if kinds.(i) = k then begin
+        out.(!j) <- i;
+        incr j
+      end
+    done
+  | Named (k, sym) ->
+    for i = lo to hi do
+      if kinds.(i) = k && tags.(i) = sym then begin
+        out.(!j) <- i;
+        incr j
+      end
+    done);
+  !j
 
 (* ------------------------------------------------------------------ *)
 (* staircase joins, descendant and ancestor axes                        *)
@@ -297,81 +366,153 @@ let anc ?exec doc context =
   let exec = ensure_exec exec in
   join exec doc ~desc:false (prune_anc_st exec.Exec.stats doc context)
 
+(* The descendant join with the node test inside: the phases find each
+   pruned context node's range [c+1 .. stop-1] and book the counters
+   exactly as [join] does; one pass counts the ranks that pass the test,
+   the result is allocated once at that length and a second pass fills
+   it.  A context node that survives pruning lies in no range, and one
+   pruned away lies in a range, so or-self adds just the survivors that
+   pass, in the fill pass. *)
+let desc_test ?exec ~or_self doc test context =
+  check_test test;
+  let exec = ensure_exec exec in
+  let mode = exec.Exec.mode and stats = exec.Exec.stats in
+  let ctx = Nodeseq.unsafe_array (prune_desc_st stats doc context) in
+  let m = Array.length ctx in
+  if m = 0 then Nodeseq.empty
+  else begin
+    let posts = Doc.post_array doc and n = Doc.n_nodes doc in
+    let stops = Array.make m 0 in
+    let stop = ref 0 in
+    let book phase ~lo ~hi ~boundary =
+      stop := desc_phase_stop ~mode doc stats phase ~lo ~hi ~boundary
+    in
+    for k = 0 to m - 1 do
+      Exec.checkpoint exec;
+      let c = ctx.(k) in
+      stop := c + 1;
+      desc_phases ~mode doc ~lo:(c + 1)
+        ~hi:(if k + 1 < m then ctx.(k + 1) - 1 else n - 1)
+        ~boundary:posts.(c) book;
+      stops.(k) <- !stop
+    done;
+    let kinds = Doc.kind_array doc and tags = Doc.tag_array doc in
+    let total = ref 0 in
+    for k = 0 to m - 1 do
+      let c = ctx.(k) in
+      if or_self && passes kinds tags test c then incr total;
+      total := !total + count_passing kinds tags test ~lo:(c + 1) ~hi:(stops.(k) - 1)
+    done;
+    let out = Array.make !total 0 in
+    let j = ref 0 in
+    for k = 0 to m - 1 do
+      let c = ctx.(k) in
+      if or_self && passes kinds tags test c then begin
+        out.(!j) <- c;
+        incr j
+      end;
+      j := fill_passing kinds tags test out !j ~lo:(c + 1) ~hi:(stops.(k) - 1)
+    done;
+    Nodeseq.of_sorted_array out
+  end
+
 (* ------------------------------------------------------------------ *)
 (* following / preceding: degenerate single region queries (§3.1)       *)
 (* ------------------------------------------------------------------ *)
 
+(* The first rank of following(c)'s result [from .. n-1], with the
+   counters of the skipping variant booked: c's subtree opens the tail
+   after c, and every rank past it follows c. *)
+let following_from ~mode doc stats c =
+  let n = Doc.n_nodes doc in
+  let posts = Doc.post_array doc in
+  (* everything past the subtree follows the context node: one
+     comparison-free copy, counters batched *)
+  let copy_from start =
+    if n - 1 >= start then
+      count_copy stats ~lo:start ~hi:(n - 1) ~appended:(nonattr doc ~lo:start ~hi:(n - 1));
+    start
+  in
+  match mode with
+  | No_skipping ->
+    (* Algorithm 2 compares every rank after c; its subtree fails *)
+    let from = ref (c + 1) in
+    for i = c + 1 to n - 1 do
+      if posts.(i) < posts.(c) then from := i + 1
+    done;
+    stats.Stats.scanned <- stats.Stats.scanned + (n - c - 1);
+    stats.Stats.appended <- stats.Stats.appended + nonattr doc ~lo:!from ~hi:(n - 1);
+    !from
+  | Skipping | Estimation ->
+    (* hop over the guaranteed descendants, then walk off the rest of the
+       subtree by comparison *)
+    let i = ref (c + 1 + max 0 (posts.(c) - c)) in
+    stats.Stats.skipped <- stats.Stats.skipped + (!i - (c + 1));
+    while !i < n && posts.(!i) < posts.(c) do
+      stats.Stats.scanned <- stats.Stats.scanned + 1;
+      incr i
+    done;
+    copy_from !i
+  | Exact_size ->
+    stats.Stats.skipped <- stats.Stats.skipped + Doc.size doc c;
+    copy_from (c + Doc.size doc c + 1)
+
 let following ?exec doc context =
   let exec = ensure_exec exec in
-  let mode = exec.Exec.mode and stats = exec.Exec.stats in
-  let context = prune_following_st stats doc context in
-  match Nodeseq.first context with
+  match Nodeseq.first (prune_following_st exec.Exec.stats doc context) with
   | None -> Nodeseq.empty
   | Some c ->
     Exec.checkpoint exec;
-    let n = Doc.n_nodes doc in
-    let posts = Doc.post_array doc in
-    let kinds = Doc.kind_array doc in
+    let from = following_from ~mode:exec.Exec.mode doc exec.Exec.stats c in
     let result = Int_col.create ~capacity:64 () in
-    let append i =
-      if kinds.(i) <> Doc.Attribute then begin
-        Int_col.append_unit result i;
-        stats.Stats.appended <- stats.Stats.appended + 1
-      end
-    in
-    let start =
-      match mode with
-      | No_skipping -> c + 1
-      | Skipping | Estimation ->
-        (* hop over the guaranteed descendants, then walk off the rest of
-           the subtree by comparison *)
-        let i = ref (c + 1 + max 0 (posts.(c) - c)) in
-        stats.Stats.skipped <- stats.Stats.skipped + (!i - (c + 1));
-        while !i < n && posts.(!i) < posts.(c) do
-          stats.Stats.scanned <- stats.Stats.scanned + 1;
-          incr i
-        done;
-        !i
-      | Exact_size ->
-        stats.Stats.skipped <- stats.Stats.skipped + Doc.size doc c;
-        c + Doc.size doc c + 1
-    in
-    (match mode with
-    | No_skipping ->
-      for i = start to n - 1 do
-        stats.Stats.scanned <- stats.Stats.scanned + 1;
-        if posts.(i) > posts.(c) then append i
-      done
-    | Skipping | Estimation | Exact_size ->
-      (* everything past the subtree follows the context node: one
-         comparison-free blit run, counters batched *)
-      if n - 1 >= start then
-        count_copy stats ~lo:start ~hi:(n - 1)
-          ~appended:(Doc.append_nonattr_range doc result ~lo:start ~hi:(n - 1)));
+    ignore (Doc.append_nonattr_range doc result ~lo:from ~hi:(Doc.n_nodes doc - 1));
     Nodeseq.of_sorted_array (Int_col.to_array result)
 
-let preceding ?exec doc context =
+(* following(c) is a single range: counted, then filled, as in
+   [desc_test]. *)
+let following_test ?exec doc test context =
+  check_test test;
   let exec = ensure_exec exec in
+  match Nodeseq.first (prune_following_st exec.Exec.stats doc context) with
+  | None -> Nodeseq.empty
+  | Some c ->
+    Exec.checkpoint exec;
+    let lo = following_from ~mode:exec.Exec.mode doc exec.Exec.stats c in
+    let hi = Doc.n_nodes doc - 1 in
+    let kinds = Doc.kind_array doc and tags = Doc.tag_array doc in
+    let out = Array.make (count_passing kinds tags test ~lo ~hi) 0 in
+    ignore (fill_passing kinds tags test out 0 ~lo ~hi);
+    Nodeseq.of_sorted_array out
+
+(* Every node before c is either an ancestor (post > post c) or in the
+   preceding region: a single bounded scan, no skipping opportunity
+   beyond the ancestors themselves.  The counters book the whole region;
+   [test], when given, keeps only the nodes that pass it. *)
+let preceding_scan exec doc test context =
   let stats = exec.Exec.stats in
-  let context = prune_preceding_st stats doc context in
-  match Nodeseq.first context with
+  match Nodeseq.first (prune_preceding_st stats doc context) with
   | None -> Nodeseq.empty
   | Some c ->
     Exec.checkpoint exec;
     let posts = Doc.post_array doc in
-    let kinds = Doc.kind_array doc in
+    let kinds = Doc.kind_array doc and tags = Doc.tag_array doc in
     let result = Int_col.create ~capacity:64 () in
-    (* every node before c is either an ancestor (post > post c) or in the
-       preceding region: a single bounded scan, no skipping opportunity
-       beyond the ancestors themselves *)
     for i = 0 to c - 1 do
       stats.Stats.scanned <- stats.Stats.scanned + 1;
       if posts.(i) < posts.(c) && kinds.(i) <> Doc.Attribute then begin
-        Int_col.append_unit result i;
-        stats.Stats.appended <- stats.Stats.appended + 1
+        stats.Stats.appended <- stats.Stats.appended + 1;
+        match test with
+        | Some t when not (passes kinds tags t i) -> ()
+        | Some _ | None -> Int_col.append_unit result i
       end
     done;
     Nodeseq.of_sorted_array (Int_col.to_array result)
+
+let preceding ?exec doc context = preceding_scan (ensure_exec exec) doc None context
+
+let preceding_test ?exec doc test context =
+  check_test test;
+  preceding_scan (ensure_exec exec) doc (Some test) context
 
 (* ------------------------------------------------------------------ *)
 (* views: staircase join over a document subset                         *)

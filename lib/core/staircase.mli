@@ -95,6 +95,42 @@ val following : ?exec:Exec.t -> Doc.t -> Nodeseq.t -> Nodeseq.t
     over the prefix of the document. *)
 val preceding : ?exec:Exec.t -> Doc.t -> Nodeseq.t -> Nodeseq.t
 
+(** {1 Node tests inside the join}
+
+    A kind-tested or name-tested step over the whole document need not
+    materialize every non-attribute node of its region and filter
+    afterwards.  These kernels find the region's rank ranges exactly as
+    the joins above do and book the same counters ([appended] still
+    counts the region's non-attribute nodes, before the test).  One pass
+    then counts the ranks in those ranges that pass the test, the result
+    is allocated once at that length, and a second pass fills it.  No
+    structure of document size is built. *)
+
+(** The test a kernel applies: every node of a kind ([*] is
+    [Kind Element], [text()] is [Kind Text]), or the nodes of a kind
+    carrying one interned tag symbol (a name test, or a
+    [processing-instruction('t')] target).  Elements and PIs always
+    carry a symbol, so [Named (k, -1)] matches nothing.  The kind is
+    never [Attribute]: the kernels raise [Invalid_argument] on one, as
+    the joins select no attributes. *)
+type node_test = Kind of Doc.kind | Named of Doc.kind * int
+
+(** [desc_test ~or_self doc test context] is
+    [context/descendant::node()] (or [descendant-or-self]) restricted to
+    the nodes passing [test], with {!desc}'s counters.  The or-self
+    context nodes go in during the fill pass, so no union runs. *)
+val desc_test :
+  ?exec:Exec.t -> or_self:bool -> Doc.t -> node_test -> Nodeseq.t -> Nodeseq.t
+
+(** [following_test doc test context] is {!following} restricted to the
+    nodes passing [test]: the same count-then-fill over its single tail
+    range. *)
+val following_test : ?exec:Exec.t -> Doc.t -> node_test -> Nodeseq.t -> Nodeseq.t
+
+(** [preceding_test doc test context] is {!preceding} restricted to the
+    nodes passing [test], applied inside its region scan. *)
+val preceding_test : ?exec:Exec.t -> Doc.t -> node_test -> Nodeseq.t -> Nodeseq.t
+
 (** {1 Partition structure}
 
     The partition boundaries that the join scans (Fig. 8) — exposed so the

@@ -295,6 +295,8 @@ let post_array t = t.post
 
 let kind_array t = t.kind
 
+let tag_array t = t.tag
+
 let level_array t = t.level
 
 let size_array t = t.size

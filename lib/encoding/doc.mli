@@ -109,6 +109,9 @@ val post_array : t -> int array
 
 val kind_array : t -> kind array
 
+(** Interned tag symbols, [-1] for text and comment nodes. *)
+val tag_array : t -> int array
+
 val level_array : t -> int array
 
 val size_array : t -> int array

@@ -152,7 +152,17 @@ let is_empty c = c = []
 
 let cursor_size = List.length
 
-let norm c = List.sort_uniq compare c
+(* Sorted and distinct, through an array: a cursor can hold as many
+   summary nodes as the document is deep. *)
+let norm c =
+  let a = Array.of_list c in
+  Array.stable_sort Int.compare a;
+  let n = Array.length a in
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    if i = n - 1 || a.(i) <> a.(i + 1) then acc := a.(i) :: !acc
+  done;
+  !acc
 
 let cursor_union a b = norm (a @ b)
 
@@ -174,17 +184,22 @@ let child_step t cur ~kind ~name =
          | Some _ | None -> [])
        cur)
 
+(* The sweep keeps its own stack: a summary is as deep as the document,
+   and a recursive walk would grow the call stack with it. *)
 let descendant_step t ?(or_self = false) cur ~name =
-  let seen = Hashtbl.create 16 in
+  let seen = Bytes.make t.n_summary '\000' in
   let hits = ref [] in
-  let rec sweep g =
-    if not (Hashtbl.mem seen g) then begin
-      Hashtbl.add seen g ();
+  let todo = Stack.create () in
+  let push_children g = Hashtbl.iter (fun _ c -> Stack.push c todo) (node t g).children in
+  List.iter push_children cur;
+  while not (Stack.is_empty todo) do
+    let g = Stack.pop todo in
+    if Bytes.get seen g = '\000' then begin
+      Bytes.set seen g '\001';
       if matches t g ~kind:Doc.Element ~name then hits := g :: !hits;
-      Hashtbl.iter (fun _ c -> sweep c) (node t g).children
+      push_children g
     end
-  in
-  List.iter (fun g -> Hashtbl.iter (fun _ c -> sweep c) (node t g).children) cur;
+  done;
   if or_self then List.iter (fun g -> if matches t g ~kind:Doc.Element ~name then hits := g :: !hits) cur;
   norm !hits
 
@@ -201,9 +216,7 @@ let ancestor_step t ?(or_self = false) cur ~name =
 
 let card t cur = List.fold_left (fun acc g -> acc + count t g) 0 cur
 
-let paths t cur = List.sort compare (List.map (path t) cur)
-
-let cursor_key t cur = String.concat "|" (paths t cur)
+let cursor_ids cur = cur
 
 let members t cur =
   let total = card t cur in

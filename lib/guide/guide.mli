@@ -82,11 +82,10 @@ val ancestor_step : t -> ?or_self:bool -> cursor -> name:string -> cursor
     are disjoint. *)
 val card : t -> cursor -> int
 
-(** Root paths of the cursor nodes, sorted ("/site/people/person"). *)
-val paths : t -> cursor -> string list
-
-(** Canonical memo key for the cursor's partition ([paths] joined). *)
-val cursor_key : t -> cursor -> string
+(** The cursor's summary ids, sorted and distinct: the canonical memo
+    key of its partition, in constant time and space (the joined root
+    paths cost O(depth) bytes per path). *)
+val cursor_ids : cursor -> int list
 
 (** The partition: every member pre rank, in document order. *)
 val members : t -> cursor -> Nodeseq.t

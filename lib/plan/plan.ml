@@ -41,7 +41,7 @@ type backend =
   | Structjoin
   | Naive
 
-type push = No_push | Push_tag of string | Push_guide of string
+type push = No_push | Push_tag of string | Push_guide of int list | Push_test
 
 type direction = Desc | Anc | Following | Preceding
 
@@ -111,7 +111,8 @@ let backend_to_string = function
 let push_to_string = function
   | No_push -> "none"
   | Push_tag t -> "tag '" ^ t ^ "'"
-  | Push_guide key -> "guide partition " ^ key
+  | Push_guide ids -> Printf.sprintf "guide partition (%d path(s))" (List.length ids)
+  | Push_test -> "node test in the join kernel"
 
 let predicate_mode ps =
   if ps.per_node then "positional, per-context-node"

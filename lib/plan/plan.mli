@@ -8,14 +8,15 @@
     its cost estimates.  Under Auto a descendant or ancestor step is the
     serial staircase join in estimation mode over the cheapest extent:
     the whole document, the step's tag fragment or its dataguide path
-    partition.  The other backends (the serial staircase in another skip
-    mode, the morsel-driven and paged staircase, the B+-tree/SQL plan of
-    Fig. 3, MPMGJN, structural join and the naive per-context-node
-    region query) run only when forced: they are the paper's baselines
-    and the test oracles.  The
-    physical tree is what executes: {!Planner.execute} interprets it
-    operator by operator, and [scj plan] / [EXPLAIN] render the very same
-    tree ({!pp_physical}, {!physical_to_json}).
+    partition; over the document, the join kernel applies a kind test or
+    a declined name test itself.  The other backends (the serial
+    staircase in another skip mode, the morsel-driven and paged
+    staircase, the B+-tree/SQL plan of Fig. 3, MPMGJN, structural join
+    and the naive per-context-node region query) run only when forced:
+    they are the paper's baselines and the test oracles.  The physical
+    tree is what executes: {!Planner.execute} interprets it operator by
+    operator, and [scj plan] / [EXPLAIN] render the very same tree
+    ({!pp_physical}, {!physical_to_json}).
 
     The IR is deliberately independent of the XPath front-end: node tests
     are mirrored structurally, and predicates arrive as compiled closures
@@ -88,14 +89,18 @@ type backend =
   | Naive  (** per-context-node region queries *)
 
 (** The extent a serial staircase join scans in place of the whole
-    document. *)
+    document, and where the step's node test runs. *)
 type push =
   | No_push  (** the document; the node test filters after the join *)
   | Push_tag of string  (** the tag-name view *)
-  | Push_guide of string
-      (** a dataguide path partition (the catalog's memo key): the
-          step's fully-qualified path set selects only its partition's
-          pre extents *)
+  | Push_guide of int list
+      (** a dataguide path partition, keyed by its sorted summary ids
+          (the catalog's memo key): the step's fully-qualified path set
+          selects only its partition's pre extents *)
+  | Push_test
+      (** the document; the kernel applies the node test while it
+          writes the result ({!Scj_core.Staircase.desc_test}), or for
+          [ancestor::*] the join's output is all elements already *)
 
 type direction = Desc | Anc | Following | Preceding
 

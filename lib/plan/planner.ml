@@ -24,7 +24,7 @@ type t = {
   paged : Paged_doc.t option;
   views : (string, Sj.View.t) Hashtbl.t;
   attr_views : (string, Nodeseq.t) Hashtbl.t;
-  guide_views : (string, Sj.View.t) Hashtbl.t;
+  guide_views : (int list, Sj.View.t) Hashtbl.t;
   mutable dstats : Doc_stats.t option;
   mutable cat_guide : Guide.t option;
   mutable index : Sql_plan.index option;
@@ -128,14 +128,16 @@ let guide t =
     g
 
 (* The path partition as a staircase-join fragment view, memoized under
-   the cursor's canonical key — [Sj.desc_view]/[anc_view] then scan only
-   the partition's pre extents instead of the whole document table. *)
-let guide_partition_view t cur key =
-  match Hashtbl.find_opt t.guide_views key with
+   the cursor's sorted summary ids — [Sj.desc_view]/[anc_view] then scan
+   only the partition's pre extents instead of the whole document
+   table. *)
+let guide_partition_view t cur =
+  let ids = Guide.cursor_ids cur in
+  match Hashtbl.find_opt t.guide_views ids with
   | Some v -> v
   | None ->
     let v = Sj.View.of_nodeseq t.cat_doc (Guide.members (guide t) cur) in
-    Hashtbl.add t.guide_views key v;
+    Hashtbl.add t.guide_views ids v;
     v
 
 let sql_index t =
@@ -351,20 +353,38 @@ let empty_step sum s ~per_node =
     pred_note = None;
   }
 
+(* Where the kernel can apply the step's node test itself (Auto only):
+   the descendant, following and preceding kernels take any test but
+   node(), which their joins already are; every node the ancestor join
+   emits is an element, so [*] needs no filter there. *)
+let kernel_note dir test =
+  match (dir, test) with
+  | (Desc | Following | Preceding), Any_node -> None
+  | (Desc | Following | Preceding), (Name _ | Wildcard | Text_node | Comment_node | Pi_node _) ->
+    Some "node test in the join kernel"
+  | Anc, Wildcard -> Some "every ancestor is an element"
+  | Anc, (Name _ | Any_node | Text_node | Comment_node | Pi_node _) -> None
+
 (* Name-test pushdown: a fragment of [size] nodes cheaper than the
-   estimated scan replaces the post-join filter. *)
-let push_decision policy ~touches = function
-  | None -> (No_push, None)
-  | Some (push, size, what) -> (
+   estimated scan replaces the post-join filter.  Where the kernel can
+   test ([kernel]), the test runs inside the document join instead of
+   after it, unless pushdown is disabled. *)
+let push_decision policy ~kernel ~touches candidate =
+  let in_kernel = Option.map (fun note -> "yes (" ^ note ^ ")") kernel in
+  match (candidate, policy.pushdown, in_kernel) with
+  | None, (`Always | `Cost_based), Some note -> (Push_test, Some note)
+  | None, _, _ -> (No_push, None)
+  | Some (push, size, what), pushdown, _ -> (
     let cmp =
       Printf.sprintf "%s: %d node(s) vs. estimated scan of %d node(s)" what size touches
     in
-    match policy.pushdown with
+    match pushdown with
     | `Never -> (No_push, Some "no (disabled)")
-    | `Always -> (push, Some ("yes (join over the fragment) -- " ^ cmp))
-    | `Cost_based ->
-      if size < touches then (push, Some ("yes (join over the fragment) -- " ^ cmp))
-      else (No_push, Some ("no (filter after the join) -- " ^ cmp)))
+    | `Cost_based when size >= touches -> (
+      match in_kernel with
+      | Some note -> (Push_test, Some (note ^ " -- " ^ cmp))
+      | None -> (No_push, Some ("no (filter after the join) -- " ^ cmp)))
+    | `Always | `Cost_based -> (push, Some ("yes (join over the fragment) -- " ^ cmp)))
 
 let tag_candidate (st : Doc_stats.t) tag =
   Some (Push_tag tag, (Doc_stats.tag st tag).count, Printf.sprintf "tag fragment '%s'" tag)
@@ -383,16 +403,20 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
     let touches = st.root_size in
     let backend = match policy.choice with Force Naive -> Naive | Force _ | Auto -> Serial Exec.Estimation in
     let push, push_note =
-      match (policy.choice, s.test) with
-      | Auto, Name tag -> push_decision policy ~touches (tag_candidate st tag)
-      | Auto, (Wildcard | Any_node | Text_node | Comment_node | Pi_node _) | Force _, _ ->
-        (No_push, None)
+      match policy.choice with
+      | Auto ->
+        push_decision policy ~kernel:(kernel_note dir s.test) ~touches
+          (match s.test with
+          | Name tag -> tag_candidate st tag
+          | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None)
+      | Force _ -> (No_push, None)
     in
     let cost =
       match (backend, push) with
       | Naive, _ -> float_of_int sum.card *. float_of_int st.n_nodes
       | _, Push_tag tag -> float_of_int (Doc_stats.tag st tag).count
-      | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_guide _) ->
+      | ( (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin),
+          (No_push | Push_guide _ | Push_test) ) ->
         float_of_int touches
     in
     let out = min cap touches in
@@ -416,7 +440,9 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
     let tail = kf *. float_of_int (max 1 st.height) in
     let scan mode = (match mode with Exec.No_skipping -> n | _ -> tf) +. tail in
     let push, push_note =
-      push_decision policy ~touches
+      push_decision policy
+        ~kernel:(if policy.choice = Auto then kernel_note dir s.test else None)
+        ~touches
         (match s.test with
         | Name tag -> tag_candidate st tag
         | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None)
@@ -448,12 +474,13 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
         let partition =
           match gpart with
           | Some cur when raced && not (Guide.is_empty cur) ->
-            let g = guide cat in
-            Some (cur, Guide.cursor_key g cur, Guide.card g cur)
+            Some (cur, Guide.card (guide cat) cur)
           | Some _ | None -> None
         in
+        (* the document extent carries the in-kernel test when it has one *)
+        let doc_push = match push with Push_test -> Push_test | _ -> No_push in
         let extents =
-          (("document", No_push, scan Exec.Estimation)
+          (("document", doc_push, scan Exec.Estimation)
           ::
           (match s.test with
           | Name tag when raced ->
@@ -461,15 +488,15 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
           | Name _ | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> []))
           @
           match partition with
-          | Some (_, key, size) ->
-            [ ("guide partition", Push_guide key, float_of_int size +. tail) ]
+          | Some (cur, size) ->
+            [ ("guide partition", Push_guide (Guide.cursor_ids cur), float_of_int size +. tail) ]
           | None -> []
         in
         let push, push_note =
           match partition with
-          | Some (cur, key, size) when float_of_int size +. tail < serial_cost Exec.Estimation ->
-            ignore (guide_partition_view cat cur key);
-            ( Push_guide key,
+          | Some (cur, size) when float_of_int size +. tail < serial_cost Exec.Estimation ->
+            ignore (guide_partition_view cat cur);
+            ( Push_guide (Guide.cursor_ids cur),
               Some
                 (Printf.sprintf
                    "yes (guide path partition) -- %d node(s) vs. estimated scan of %d node(s)" size
@@ -636,31 +663,42 @@ let rec plan_step cat policy ~semijoins sum (s : step) ~forced_empty =
         if gexact_out then Some (Printf.sprintf "exact card=%d over %d path(s)" c np)
         else Some (Printf.sprintf "upper bound card<=%d over %d path(s)" c np)
   in
+  (* Under Auto, a kind test no element passes leaves an ancestor step
+     nothing (every node the ancestor join emits is an element) and an
+     ancestor-or-self step its self part. *)
+  let no_ancestor_passes =
+    policy.choice = Auto
+    && (s.axis = Axis.Ancestor || s.axis = Axis.Ancestor_or_self)
+    &&
+    match s.test with
+    | Text_node | Comment_node | Pi_node _ -> true
+    | Name _ | Wildcard | Any_node -> false
+  in
+  let select_self () =
+    let out = min sum.card cap in
+    ( {
+        step = s;
+        impl = Select_self;
+        est =
+          { card_in = sum.card; touches = sum.card; card_out = out; cost = float_of_int sum.card };
+        alternatives = [];
+        push_note = None;
+        guide_note = None;
+        per_node;
+        semijoin = false;
+        pred_note = None;
+      },
+      out )
+  in
   let ps, cands =
-    if forced_empty || s.axis = Axis.Namespace || statically_empty then
-      (empty_step sum s ~per_node, 0)
+    if
+      forced_empty || s.axis = Axis.Namespace || statically_empty
+      || (no_ancestor_passes && s.axis = Axis.Ancestor)
+    then (empty_step sum s ~per_node, 0)
     else
       match s.axis with
-      | Axis.Self ->
-        let out = min sum.card cap in
-        ( {
-            step = s;
-            impl = Select_self;
-            est =
-              {
-                card_in = sum.card;
-                touches = sum.card;
-                card_out = out;
-                cost = float_of_int sum.card;
-              };
-            alternatives = [];
-            push_note = None;
-            guide_note = None;
-            per_node;
-            semijoin = false;
-            pred_note = None;
-          },
-          out )
+      | Axis.Self -> select_self ()
+      | Axis.Ancestor_or_self when no_ancestor_passes -> select_self ()
       | Axis.Child | Axis.Attribute | Axis.Parent | Axis.Following_sibling
       | Axis.Preceding_sibling ->
         plan_structural st sum s ~per_node ~cap
@@ -952,13 +990,15 @@ let run_join cat exec ~dir ~backend ~push context =
     match (backend, push) with
     | Naive, _ -> (Naive_join.step ~exec doc context Axis.Following, false)
     | _, Push_tag tag -> (Sj.following_view ~exec doc (tag_view cat tag) context, true)
-    | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_guide _) ->
+    | ( (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin),
+        (No_push | Push_guide _ | Push_test) ) ->
       (Sj.following ~exec doc context, false))
   | Preceding -> (
     match (backend, push) with
     | Naive, _ -> (Naive_join.step ~exec doc context Axis.Preceding, false)
     | _, Push_tag tag -> (Sj.preceding_view ~exec doc (tag_view cat tag) context, true)
-    | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_guide _) ->
+    | ( (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin),
+        (No_push | Push_guide _ | Push_test) ) ->
       (Sj.preceding ~exec doc context, false))
   | (Desc | Anc) as dir -> (
     let descending = dir = Desc in
@@ -971,11 +1011,11 @@ let run_join cat exec ~dir ~backend ~push context =
       let whole () = ((if descending then Sj.desc else Sj.anc) ~exec doc context, false) in
       match push with
       | Push_tag tag -> over (tag_view cat tag)
-      | Push_guide key -> (
+      | Push_guide ids -> (
         (* partition members all satisfy the step's node test by
            construction — the scan is pre-filtered *)
-        match Hashtbl.find_opt cat.guide_views key with Some view -> over view | None -> whole ())
-      | No_push -> whole ())
+        match Hashtbl.find_opt cat.guide_views ids with Some view -> over view | None -> whole ())
+      | No_push | Push_test -> whole ())
     | Morsel mode ->
       let exec = Exec.with_mode exec mode in
       ((if descending then Morsel_join.desc else Morsel_join.anc) ~exec doc context, false)
@@ -995,11 +1035,40 @@ let run_join cat exec ~dir ~backend ~push context =
       ( Naive_join.step ~exec doc context (if descending then Axis.Descendant else Axis.Ancestor),
         false ))
 
+(* The node test as the staircase kernel applies it, on a non-attribute
+   axis (a name no node carries matches nothing). *)
+let kernel_test doc test =
+  let named kind name = Sj.Named (kind, Option.value ~default:(-1) (Doc.tag_symbol doc name)) in
+  match test with
+  | Wildcard -> Sj.Kind Doc.Element
+  | Text_node -> Sj.Kind Doc.Text
+  | Comment_node -> Sj.Kind Doc.Comment
+  | Pi_node None -> Sj.Kind Doc.Pi
+  | Pi_node (Some target) -> named Doc.Pi target
+  | Name name -> named Doc.Element name
+  | Any_node -> invalid_arg "Planner.kernel_test: node() needs no test"
+
+(* A join that applies its node test itself ([Push_test]): the kernels
+   write each result once, with the or-self context nodes merged in;
+   the ancestor join emits elements only, so [ancestor::*] runs plain. *)
+let test_join cat exec ~dir ~or_self ~mode (s : step) context =
+  let doc = cat.cat_doc in
+  match dir with
+  | Desc ->
+    Sj.desc_test ~exec:(Exec.with_mode exec mode) ~or_self doc (kernel_test doc s.test) context
+  | Following -> Sj.following_test ~exec doc (kernel_test doc s.test) context
+  | Preceding -> Sj.preceding_test ~exec doc (kernel_test doc s.test) context
+  | Anc ->
+    let joined = Sj.anc ~exec:(Exec.with_mode exec mode) doc context in
+    if or_self then Nodeseq.union joined (apply_node_test doc s.axis s.test context) else joined
+
 let run_impl cat exec (ps : phys_step) context =
   match ps.impl with
   | Select_self -> (context, false)
   | Empty_result -> (Nodeseq.empty, true)
   | Structural -> (structural_axis cat exec context ps.step.axis, false)
+  | Join { dir; or_self; backend = Serial mode; push = Push_test } ->
+    (test_join cat exec ~dir ~or_self ~mode ps.step context, true)
   | Join { dir; or_self; backend; push } ->
     let joined, tested = run_join cat exec ~dir ~backend ~push context in
     if not or_self then (joined, tested)

@@ -103,8 +103,13 @@ val rewrite : Plan.logical -> Plan.logical
     steps.  Under [Auto] every descendant and ancestor step is the serial
     staircase join in estimation mode over the cheapest of its extents —
     the document, the step's tag fragment or its guide path partition —
-    recorded with the pushdown decision and the rejected extents; a
-    forced backend runs every partitioning step.  Under
+    recorded with the pushdown decision and the rejected extents.  Over
+    the document, a descendant, following or preceding step applies a
+    kind test or a declined name test inside the join kernel
+    ({!Plan.Push_test}), unless pushdown is [`Never]; [ancestor::*]
+    needs no filter, and an ancestor kind test no element passes plans
+    as empty (its or-self form as the self filter).  A forced backend
+    runs every partitioning step and filters after the join.  Under
     [Auto], a step's transparent predicates ({!Plan.form}) are costed as
     semijoins over tag fragments against per-node evaluation, except on
     a relative path planned for one context node.

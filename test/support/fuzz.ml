@@ -46,9 +46,10 @@ let attrs st ~p_attr ~max_attrs =
         (Printf.sprintf "k%d" i, s))
 
 let leaf st ~p_attr ~max_attrs =
-  match Random.State.int st 4 with
-  | 0 -> Tree.text "t"
-  | 1 -> Tree.Comment "c"
+  match Random.State.int st 8 with
+  | 0 | 1 -> Tree.text "t"
+  | 2 -> Tree.Comment "c"
+  | 3 -> Tree.Pi { target = "pi"; data = "d" }
   | _ -> Tree.elem ~attributes:(attrs st ~p_attr ~max_attrs) (pick_name st) []
 
 (* Budgeted recursive tree: [fanout] draws the child count, [p_attr] /

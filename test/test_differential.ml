@@ -219,6 +219,8 @@ let fuzz_tests =
   [|
     Ast.Kind_test Ast.Any_node; Ast.Name_test "a"; Ast.Name_test "b";
     Ast.Name_test "item"; Ast.Wildcard; Ast.Kind_test Ast.Text_node;
+    Ast.Kind_test Ast.Comment_node; Ast.Kind_test (Ast.Pi_node None);
+    Ast.Kind_test (Ast.Pi_node (Some "pi"));
   |]
 
 (* independent restatement of the node-test semantics for the oracle *)
@@ -231,9 +233,12 @@ let oracle_test doc axis test v =
   match test with
   | Ast.Kind_test Ast.Any_node -> true
   | Ast.Kind_test Ast.Text_node -> Doc.kind doc v = Doc.Text
+  | Ast.Kind_test Ast.Comment_node -> Doc.kind doc v = Doc.Comment
+  | Ast.Kind_test (Ast.Pi_node None) -> Doc.kind doc v = Doc.Pi
+  | Ast.Kind_test (Ast.Pi_node (Some target)) ->
+    Doc.kind doc v = Doc.Pi && Doc.tag_name doc v = Some target
   | Ast.Wildcard -> principal
   | Ast.Name_test n -> principal && Doc.tag_name doc v = Some n
-  | Ast.Kind_test _ -> false
 
 (* XPath string-value, restated: an element's is the concatenation of
    its text descendants, every other node's its own content *)

@@ -193,7 +193,17 @@ let test_deep_document () =
   | Ok d ->
     Alcotest.(check int) "nodes" (depth + 1) (Doc.n_nodes d);
     Alcotest.(check int) "height" depth (Doc.height d);
-    validate_ok ~msg:"deep document" d
+    validate_ok ~msg:"deep document" d;
+    (* ... and answer queries: the guide cursor of //d holds one path per
+       level, so planning must stay linear in the depth *)
+    let db = Scj_db.Db.of_doc d in
+    let count q =
+      match Scj_db.Db.query db q with
+      | Ok r -> Nodeseq.length r
+      | Error e -> Alcotest.failf "%s: %s" q (Scj_error.Error.to_string e)
+    in
+    Alcotest.(check int) "//d" depth (count "//d");
+    Alcotest.(check int) "//text()/ancestor::d" depth (count "//text()/ancestor::d")
 
 let docs_equal_fwd a b =
   Doc.n_nodes a = Doc.n_nodes b

@@ -83,7 +83,8 @@ let test_text_children () =
     Guide.child_step g (Guide.root_cursor g) ~kind:Doc.Text ~name:""
   in
   Alcotest.(check int) "both text runs share one path" 2 (Guide.card g texts);
-  Alcotest.(check (list string)) "path spelling" [ "/r/#text" ] (Guide.paths g texts)
+  Alcotest.(check (list string)) "path spelling" [ "/r"; "/r/#text"; "/r/c" ]
+    (List.sort compare (List.map (fun i -> i.Guide.path) (Guide.infos g)))
 
 (* Summary member sets must partition the document: every row appears in
    exactly one summary node. *)

@@ -183,6 +183,7 @@ let golden_plan_wild =
   {golden|source: document node (emulated at the root element)  [est card=1]
 join: descendant-or-self::*
   backend: staircase join (serial, estimation) + self
+  pushdown: yes (node test in the join kernel)
   guide: fallback to flat statistics (step outside the path summary)
   est: in=1 touches=6737 out=3673 cost=6748
 |golden}
@@ -213,15 +214,16 @@ let test_golden_semijoin () =
 (* the //keyword document-union special case fuses to one descendant join *)
 let test_golden_keyword () = check_string "//keyword" golden_plan_keyword (plan_string "//keyword")
 
-(* a wildcard is filtered after the join, like the other kind tests *)
+(* the kernel applies a wildcard while it writes the join's result *)
 let test_golden_wildcard () = check_string "/descendant::*" golden_plan_wild (plan_string "/descendant::*")
 
 (* ------------------------------------------------------------------ *)
 (* planner behaviour on the fixture                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Neither Auto nor the forced serial staircase pushes a wildcard step:
-   its join scans the document and the kind test filters after it. *)
+(* Auto applies a wildcard inside the join kernel (for ancestors, whose
+   join emits elements only, by dropping the filter); the forced serial
+   staircase scans the document and filters after the join. *)
 let test_wildcard_pushdown_impl () =
   let doc = Lazy.force xmark in
   let rec joins = function
@@ -240,10 +242,15 @@ let test_wildcard_pushdown_impl () =
               match ps.Plan.impl with
               | Plan.Join { push; _ } when ps.Plan.step.Plan.test = Plan.Wildcard ->
                 incr checked;
-                check_bool
-                  (Printf.sprintf "%s under %s: %s unpushed" q (Eval.strategy_to_string strategy)
+                let expected =
+                  match strategy.Eval.backend with
+                  | `Auto | `Auto_flat -> Plan.Push_test
+                  | `Force _ -> Plan.No_push
+                in
+                check_string
+                  (Printf.sprintf "%s under %s: %s" q (Eval.strategy_to_string strategy)
                      (Plan.step_to_string ps.Plan.step))
-                  true (push = Plan.No_push)
+                  (Plan.push_to_string expected) (Plan.push_to_string push)
               | Plan.Join _ | Plan.Structural | Plan.Select_self | Plan.Empty_result -> ())
             (joins (Eval.path_plan session (parse_ok q))))
         [ "/descendant::*"; "//*"; "/descendant::profile/descendant::*"; "//bidder/ancestor::*" ])
@@ -288,6 +295,53 @@ let test_results_unchanged_by_auto () =
       "//text()/ancestor::*";
       "/descendant::*/descendant::text()";
       "//listitem/ancestor::listitem";
+      (* ancestor kind tests Auto settles at plan time *)
+      "//keyword/ancestor::*";
+      "//keyword/ancestor-or-self::*";
+      "//keyword/ancestor::text()";
+      "//keyword/ancestor::comment()";
+      "//keyword/ancestor::processing-instruction()";
+      "//text()/ancestor-or-self::text()";
+      "//keyword/ancestor-or-self::text()";
+      "//text()/ancestor-or-self::processing-instruction('x')";
+    ]
+
+(* Under Auto the kind-tested steps below run the node test inside the
+   kernel; forced staircase-estimate joins and filters afterwards.  The
+   kernel books the join's counters, so both agree counter for counter,
+   not only node for node.  A declined name test is checked without the
+   guide, whose path partition (here: a static empty result) would
+   otherwise take its place. *)
+let test_kernel_counter_parity () =
+  let doc = Lazy.force xmark in
+  let session name = Eval.session ~strategy:(Option.get (Eval.strategy_of_string name)) doc in
+  let auto = session "auto" and flat = session "auto-flat" in
+  let forced = session "staircase-estimate" in
+  let run session q =
+    let stats = Scj_stats.Stats.create () in
+    let r = Eval.run_exn ~exec:(Scj_trace.Exec.make ~stats ()) session q in
+    (r, Scj_stats.Stats.all_assoc stats)
+  in
+  let check (name, session) q =
+    let r_auto, c_auto = run session q and r_forced, c_forced = run forced q in
+    check_bool (Printf.sprintf "%s under %s: results" q name) true (Nodeseq.equal r_auto r_forced);
+    check_bool (Printf.sprintf "%s under %s: counters" q name) true (c_auto = c_forced)
+  in
+  check ("auto-flat", flat) "/descendant::education/descendant::text";
+  List.iter
+    (fun q -> List.iter (fun s -> check s q) [ ("auto", auto); ("auto-flat", flat) ])
+    [
+      "//*";
+      "//text()";
+      "//comment()";
+      "//processing-instruction()";
+      "/descendant::profile/descendant::*";
+      "//open_auction/descendant-or-self::*";
+      "//open_auction/descendant::text()";
+      "//open_auction/following::*";
+      "//open_auction/following::text()";
+      "//closed_auction/preceding::*";
+      "//closed_auction/preceding::text()";
     ]
 
 (* Semijoins and following/preceding pushdown are Auto's alone: a forced
@@ -332,6 +386,33 @@ let test_forced_plans_keep_oracles () =
       | Some { Eval.backend = `Auto | `Auto_flat; _ } | None -> ())
     Eval.strategy_names
 
+(* On an element chain of depth d, //a's guide cursor holds d paths.  The
+   partition memo is keyed by summary ids, so planning allocates O(d), not
+   the O(d^2) bytes of the joined root-path strings (968 MB at this
+   depth). *)
+let test_deep_chain_planning () =
+  let depth = 8000 in
+  let buf = Buffer.create (depth * 7) in
+  for _ = 1 to depth do
+    Buffer.add_string buf "<a>"
+  done;
+  Buffer.add_string buf "x";
+  for _ = 1 to depth do
+    Buffer.add_string buf "</a>"
+  done;
+  let doc = match Doc.of_string (Buffer.contents buf) with Ok d -> d | Error e -> Alcotest.fail e in
+  let session = Eval.session doc in
+  let cat = Eval.catalog_of_session session in
+  ignore (Planner.guide cat);
+  ignore (Planner.doc_stats cat);
+  let before = Gc.allocated_bytes () in
+  let plan = Eval.path_plan session (parse_ok "//a") in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  check_bool (Printf.sprintf "planning //a allocated %.1f MB (< 32)" mb) true (mb < 32.);
+  check_bool "the cursor holds one path per level" true
+    (contains (Plan.physical_to_string plan) (Printf.sprintf "over %d path(s)" depth));
+  check_int "//a" depth (Nodeseq.length (Eval.run_exn session "//a"))
+
 let test_plan_json_shape () =
   let session = Eval.session (Lazy.force xmark) in
   let json = Eval.plan_json session (parse_ok "//keyword") in
@@ -373,7 +454,10 @@ let () =
           Alcotest.test_case "wildcard pushdown decision" `Quick test_wildcard_pushdown_impl;
           Alcotest.test_case "plan cache" `Quick test_plan_cache;
           Alcotest.test_case "auto = forced results" `Quick test_results_unchanged_by_auto;
+          Alcotest.test_case "kernel node tests = forced counters" `Quick
+            test_kernel_counter_parity;
           Alcotest.test_case "forced plans keep the oracles" `Quick test_forced_plans_keep_oracles;
           Alcotest.test_case "plan json" `Quick test_plan_json_shape;
+          Alcotest.test_case "deep chain plans in linear space" `Quick test_deep_chain_planning;
         ] );
     ]

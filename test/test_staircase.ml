@@ -381,6 +381,77 @@ let prop_blit_parity =
     all_modes
 
 (* ------------------------------------------------------------------ *)
+(* node tests inside the join                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every test the planner hands the kernels, on the random documents'
+   vocabulary: each kind, an element name, the PI target, an attribute's
+   name (no element carries it) and a name no node carries. *)
+let kernel_tests d =
+  let sym name = Option.value ~default:(-1) (Doc.tag_symbol d name) in
+  [
+    Sj.Kind Doc.Element;
+    Sj.Kind Doc.Text;
+    Sj.Kind Doc.Comment;
+    Sj.Kind Doc.Pi;
+    Sj.Named (Doc.Element, sym "a");
+    Sj.Named (Doc.Element, sym "item");
+    Sj.Named (Doc.Element, sym "k");
+    Sj.Named (Doc.Element, -1);
+    Sj.Named (Doc.Pi, sym "pi");
+  ]
+
+(* the test restated over the per-node accessors *)
+let test_filter d test seq =
+  Nodeseq.filter
+    (fun v ->
+      match test with
+      | Sj.Kind k -> Doc.kind d v = k
+      | Sj.Named (k, sym) -> Doc.kind d v = k && Doc.tag d v = sym)
+    seq
+
+(* The kernels equal the per-node reference join followed by the test
+   (with the filtered context merged in for or-self), counter for
+   counter, in every skipping mode. *)
+let prop_kernel_parity =
+  let axes =
+    [
+      ("descendant", (fun exec d t c -> Sj.desc_test ~exec ~or_self:false d t c),
+        fun exec d t c -> test_filter d t (Sj.Reference.desc ~exec d c));
+      ("descendant-or-self", (fun exec d t c -> Sj.desc_test ~exec ~or_self:true d t c),
+        fun exec d t c ->
+          Nodeseq.union (test_filter d t (Sj.Reference.desc ~exec d c)) (test_filter d t c));
+      ("following", (fun exec d t c -> Sj.following_test ~exec d t c),
+        fun exec d t c -> test_filter d t (Sj.Reference.following ~exec d c));
+      ("preceding", (fun exec d t c -> Sj.preceding_test ~exec d t c),
+        fun exec d t c -> test_filter d t (Sj.Reference.preceding ~exec d c));
+    ]
+  in
+  List.concat_map
+    (fun mode ->
+      List.map
+        (fun (axis, kernel, reference) ->
+          QCheck.Test.make ~count:200
+            ~name:(Printf.sprintf "%s kernel = reference + node test (%s)" axis (mode_name mode))
+            (Test_support.doc_with_context_arbitrary ())
+            (fun (d, ctx) ->
+              List.for_all
+                (fun test ->
+                  let s_k = Stats.create () and s_r = Stats.create () in
+                  let r_k = kernel (Exec.make ~mode ~stats:s_k ()) d test ctx in
+                  let r_r = reference (Exec.make ~mode ~stats:s_r ()) d test ctx in
+                  if not (Nodeseq.equal r_k r_r) then
+                    QCheck.Test.fail_reportf "results differ:@.kernel %a@.ref    %a" Nodeseq.pp r_k
+                      Nodeseq.pp r_r
+                  else if Stats.all_assoc s_k <> Stats.all_assoc s_r then
+                    QCheck.Test.fail_reportf "counters differ:@.kernel %s@.ref    %s"
+                      (Stats.to_json s_k) (Stats.to_json s_r)
+                  else true)
+                (kernel_tests d)))
+        axes)
+    all_modes
+
+(* ------------------------------------------------------------------ *)
 (* partitions                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -498,8 +569,8 @@ let qsuite =
        prop_partitions_pruned_skip_reprune;
        prop_soak_large_docs;
      ]
-    @ prop_blit_parity @ prop_desc @ prop_anc @ prop_following @ prop_preceding @ prop_view_desc
-    @ prop_view_anc)
+    @ prop_blit_parity @ prop_kernel_parity @ prop_desc @ prop_anc @ prop_following @ prop_preceding
+    @ prop_view_desc @ prop_view_anc)
 
 let () =
   Alcotest.run "scj_staircase"
