@@ -152,17 +152,7 @@ let is_empty c = c = []
 
 let cursor_size = List.length
 
-(* Sorted and distinct, through an array: a cursor can hold as many
-   summary nodes as the document is deep. *)
-let norm c =
-  let a = Array.of_list c in
-  Array.stable_sort Int.compare a;
-  let n = Array.length a in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if i = n - 1 || a.(i) <> a.(i + 1) then acc := a.(i) :: !acc
-  done;
-  !acc
+let norm c = List.sort_uniq Int.compare c
 
 let cursor_union a b = norm (a @ b)
 
@@ -203,10 +193,15 @@ let descendant_step t ?(or_self = false) cur ~name =
   if or_self then List.iter (fun g -> if matches t g ~kind:Doc.Element ~name then hits := g :: !hits) cur;
   norm !hits
 
+(* A climb stops at the first summary node already climbed through: its
+   ancestors were climbed through then, so the walk is linear in the
+   summary however many cursor nodes share one root path. *)
 let ancestor_step t ?(or_self = false) cur ~name =
+  let seen = Bytes.make t.n_summary '\000' in
   let hits = ref [] in
   let rec up g =
-    if g >= 0 then begin
+    if g >= 0 && Bytes.get seen g = '\000' then begin
+      Bytes.set seen g '\001';
       if matches t g ~kind:Doc.Element ~name then hits := g :: !hits;
       up (node t g).parent
     end

@@ -203,7 +203,8 @@ let test_deep_document () =
       | Error e -> Alcotest.failf "%s: %s" q (Scj_error.Error.to_string e)
     in
     Alcotest.(check int) "//d" depth (count "//d");
-    Alcotest.(check int) "//text()/ancestor::d" depth (count "//text()/ancestor::d")
+    Alcotest.(check int) "//text()/ancestor::d" depth (count "//text()/ancestor::d");
+    Alcotest.(check int) "//d/ancestor::d" (depth - 1) (count "//d/ancestor::d")
 
 let docs_equal_fwd a b =
   Doc.n_nodes a = Doc.n_nodes b

@@ -83,8 +83,9 @@ let test_text_children () =
     Guide.child_step g (Guide.root_cursor g) ~kind:Doc.Text ~name:""
   in
   Alcotest.(check int) "both text runs share one path" 2 (Guide.card g texts);
-  Alcotest.(check (list string)) "path spelling" [ "/r"; "/r/#text"; "/r/c" ]
-    (List.sort compare (List.map (fun i -> i.Guide.path) (Guide.infos g)))
+  Alcotest.(check int) "one summary node" 1 (Guide.cursor_size texts);
+  Alcotest.(check (list int)) "its members are the text runs" [ 1; 3 ]
+    (Nodeseq.to_list (Guide.members g texts))
 
 (* Summary member sets must partition the document: every row appears in
    exactly one summary node. *)

@@ -405,13 +405,19 @@ let test_deep_chain_planning () =
   let cat = Eval.catalog_of_session session in
   ignore (Planner.guide cat);
   ignore (Planner.doc_stats cat);
-  let before = Gc.allocated_bytes () in
-  let plan = Eval.path_plan session (parse_ok "//a") in
-  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
-  check_bool (Printf.sprintf "planning //a allocated %.1f MB (< 32)" mb) true (mb < 32.);
+  let plan q =
+    let before = Gc.allocated_bytes () in
+    let plan = Eval.path_plan session (parse_ok q) in
+    let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+    check_bool (Printf.sprintf "planning %s allocated %.1f MB (< 32)" q mb) true (mb < 32.);
+    plan
+  in
   check_bool "the cursor holds one path per level" true
-    (contains (Plan.physical_to_string plan) (Printf.sprintf "over %d path(s)" depth));
-  check_int "//a" depth (Nodeseq.length (Eval.run_exn session "//a"))
+    (contains (Plan.physical_to_string (plan "//a")) (Printf.sprintf "over %d path(s)" depth));
+  ignore (plan "//a/ancestor::a");
+  ignore (plan "//a/ancestor-or-self::a");
+  check_int "//a" depth (Nodeseq.length (Eval.run_exn session "//a"));
+  check_int "//a/ancestor::a" (depth - 1) (Nodeseq.length (Eval.run_exn session "//a/ancestor::a"))
 
 let test_plan_json_shape () =
   let session = Eval.session (Lazy.force xmark) in
