@@ -85,7 +85,8 @@ let test_text_children () =
   Alcotest.(check int) "both text runs share one path" 2 (Guide.card g texts);
   Alcotest.(check int) "one summary node" 1 (Guide.cursor_size texts);
   Alcotest.(check (list int)) "its members are the text runs" [ 1; 3 ]
-    (Nodeseq.to_list (Guide.members g texts))
+    (Nodeseq.to_list (Guide.members g texts));
+  Alcotest.(check (array int)) "path spelling" [| 1; 3 |] (List.assoc "/r/#text" (alist g))
 
 (* Summary member sets must partition the document: every row appears in
    exactly one summary node. *)
