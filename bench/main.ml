@@ -42,7 +42,8 @@ module Sql_plan = Scj_engine.Sql_plan
 module Plan = Scj_plan.Plan
 module Eval = Scj_xpath.Eval
 module Xmark = Scj_xmlgen.Xmark
-module Fragmented = Scj_frag.Fragmented
+module Planner = Scj_plan.Planner
+module Doc_stats = Scj_guide.Doc_stats
 module Parallel = Scj_frag.Parallel
 module Morsel = Scj_frag.Morsel
 
@@ -329,36 +330,53 @@ let fig11f =
 (* §6: tag-name fragmentation                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Q1 over the tag fragments against Q1 over the document with the name
+   test after the join.  A tag fragment is the partition of the dataguide
+   paths ending in its tag; the planner's catalog serves both.  Gated on
+   identical results, with the result sizes and touched nodes as counts
+   (the last scale's). *)
 let frag () =
   header "§6 future work: tag-name fragmentation (Q1)";
   Printf.printf row_format "size[MB]" "plain[ms]" "frag[ms]" "speedup" "touched" "";
+  let parity = ref true in
   List.iter
     (fun scale ->
       let doc = doc_at scale in
-      let fragmented = Fragmented.build doc in
+      let session = Eval.session ~strategy:strategy_staircase doc in
+      let cat = Eval.catalog_of_session session in
+      let fragment tag = Planner.view cat (Doc_stats.tag (Planner.doc_stats cat) tag).paths in
+      let profile = fragment "profile" and education = fragment "education" in
       let root = root_seq doc in
-      let run_plain () =
-        let session = Eval.session ~strategy:strategy_staircase doc in
-        ignore (Eval.run_exn ~exec:(bench_exec ()) session "/descendant::profile/descendant::education")
+      let q1 = "/descendant::profile/descendant::education" in
+      let q1_frag exec =
+        let profiles = Sj.desc_view ~exec doc profile root in
+        (profiles, Sj.desc_view ~exec doc education profiles)
       in
-      let run_frag () =
-        let profiles = Fragmented.desc_step fragmented root ~tag:"profile" in
-        ignore (Fragmented.desc_step fragmented profiles ~tag:"education")
-      in
-      let t_plain = ms_of_ns (measure_ns ~name:"plain" run_plain) in
-      let t_frag = ms_of_ns (measure_ns ~name:"frag" run_frag) in
-      let exec = Exec.make () in
-      let stats = exec.Exec.stats in
-      let profiles = Fragmented.desc_step ~exec fragmented root ~tag:"profile" in
-      ignore (Fragmented.desc_step ~exec fragmented profiles ~tag:"education");
+      let plain_stats = Stats.create () and frag_stats = Stats.create () in
+      let plain = Eval.run_exn ~exec:(Exec.make ~stats:plain_stats ()) session q1 in
+      let profiles, educations = q1_frag (Exec.make ~stats:frag_stats ()) in
+      parity := !parity && Nodeseq.equal plain educations;
+      let time name f = ms_of_ns (measure_ns ~name (fun () -> ignore (f (bench_exec ())))) in
+      let t_plain = time "plain" (fun exec -> Eval.run_exn ~exec session q1) in
+      let t_frag = time "frag" q1_frag in
+      List.iter
+        (fun (key, v) -> Trace.annot !tracer key (string_of_int v))
+        [
+          ("count_frag_profiles", Nodeseq.length profiles);
+          ("count_frag_educations", Nodeseq.length educations);
+          ("count_frag_touched", Stats.touched frag_stats);
+          ("count_plain_touched", Stats.touched plain_stats);
+        ];
       Printf.printf row_format
         (Printf.sprintf "%.1f" (mb_of doc))
         (Printf.sprintf "%.3f" t_plain)
         (Printf.sprintf "%.3f" t_frag)
         (Printf.sprintf "%.0fx" (t_plain /. t_frag))
-        (string_of_int (Stats.touched stats))
+        (string_of_int (Stats.touched frag_stats))
         "")
     (scales ());
+  Trace.annot !tracer "counter_parity" (string_of_bool !parity);
+  Printf.printf "parity (fragmented Q1 = plain Q1): %b\n" !parity;
   print_endline "(paper: fragmentation brought Q1 from 345 ms down to 39 ms — about 9x)"
 
 (* ------------------------------------------------------------------ *)
@@ -1455,8 +1473,8 @@ let experiments =
 (* quick non-bechamel subset, used as a CI smoke test *)
 let smoke_experiments =
   [
-    "table1"; "fig11a"; "fig11c"; "baselines"; "planner"; "guide"; "copykernel"; "morsel";
-    "workload"; "store"; "mutate"; "shard"; "flwor";
+    "table1"; "fig11a"; "fig11c"; "frag"; "baselines"; "planner"; "guide"; "copykernel";
+    "morsel"; "workload"; "store"; "mutate"; "shard"; "flwor";
   ]
 
 (* The spans that report counter_parity=false, as experiment/span paths:

@@ -26,6 +26,7 @@ module Xmark = Scj_xmlgen.Xmark
 module Store = Scj_store.Store
 module Db = Scj_db.Db
 module Guide = Scj_guide.Guide
+module Doc_stats = Scj_guide.Doc_stats
 module Error_ = Scj_error.Error
 
 let ( let* ) = Result.bind
@@ -78,9 +79,10 @@ let pushdown_conv =
   Cmdliner.Arg.conv (parse, print)
 
 let strategy_doc =
-  "Join-backend strategy: auto (the serial staircase join over the document, a tag fragment \
-   or a dataguide path partition, whichever is smallest), auto-flat (auto without the \
-   dataguide), or one forced backend: staircase, staircase-noskip, staircase-skip, \
+  "Join-backend strategy: auto (the serial staircase join over the document or the step's \
+   partition -- its dataguide paths, or its tag fragment -- whichever is smaller), auto-flat \
+   (auto without dataguide cursors: the partition is always the tag fragment), or one forced \
+   backend: staircase, staircase-noskip, staircase-skip, \
    staircase-estimate, staircase-exact, morsel, paged, naive, sql, sql-nodelimiter, mpmgjn, \
    structjoin."
 
@@ -172,6 +174,16 @@ let encode_cmd =
 (* info                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The planner's statistics, folded from the document's dataguide. *)
+let doc_stats doc = Doc_stats.of_guide (Guide.build doc) doc
+
+(* Element tags with their fragment statistics, largest fragment first
+   (ties by name). *)
+let largest_tags (st : Doc_stats.t) =
+  Hashtbl.fold (fun tag ts acc -> (tag, ts) :: acc) st.Doc_stats.tags []
+  |> List.sort (fun (a, (x : Doc_stats.tag_stats)) (b, (y : Doc_stats.tag_stats)) ->
+         match Int.compare y.count x.count with 0 -> String.compare a b | c -> c)
+
 let info_cmd =
   let open Cmdliner in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC") in
@@ -182,19 +194,18 @@ let info_cmd =
       prerr_endline e;
       1
     | Ok doc ->
-      Printf.printf "nodes:    %d\n" (Doc.n_nodes doc);
-      Printf.printf "height:   %d\n" (Doc.height doc);
-      let kinds = Doc.kind_array doc in
-      let count k = Array.fold_left (fun acc k' -> if k = k' then acc + 1 else acc) 0 kinds in
+      let st = doc_stats doc in
+      Printf.printf "nodes:    %d\n" st.Doc_stats.n_nodes;
+      Printf.printf "height:   %d\n" st.Doc_stats.height;
       Printf.printf "elements: %d\nattributes: %d\ntexts: %d\ncomments: %d\npis: %d\n"
-        (count Doc.Element) (count Doc.Attribute) (count Doc.Text) (count Doc.Comment)
-        (count Doc.Pi);
-      let frag = Scj_frag.Fragmented.build doc in
-      Printf.printf "distinct element tags: %d\n" (Scj_frag.Fragmented.n_fragments frag);
-      print_endline "largest fragments:";
+        st.Doc_stats.n_elements st.Doc_stats.n_attributes st.Doc_stats.n_texts
+        st.Doc_stats.n_comments st.Doc_stats.n_pis;
+      Printf.printf "distinct element tags: %d\n" (Hashtbl.length st.Doc_stats.tags);
+      print_endline "largest fragments (element count, dataguide paths):";
       List.iteri
-        (fun i (tag, n) -> if i < top then Printf.printf "  %-24s %d\n" tag n)
-        (Scj_frag.Fragmented.tags frag);
+        (fun i (tag, (ts : Doc_stats.tag_stats)) ->
+          if i < top then Printf.printf "  %-24s %8d %6d\n" tag ts.count (List.length ts.paths))
+        (largest_tags st);
       0
   in
   Cmd.v (Cmd.info "info" ~doc:"Show document statistics.") Term.(const run $ input $ top)
@@ -1264,9 +1275,8 @@ let workload_cmd =
           ?workers:(if workers_flag > 0 then Some (Exec.clamp_domains workers_flag) else None)
           ?deadline catalog
       in
-      let frag = Scj_frag.Fragmented.build doc in
       let top_tags =
-        List.filteri (fun i _ -> i < 2) (List.map fst (Scj_frag.Fragmented.tags frag))
+        List.filteri (fun i _ -> i < 2) (List.map fst (largest_tags (doc_stats doc)))
       in
       let contexts =
         List.map (fun tag -> Nodeseq.of_sorted_array (Doc.tag_positions doc tag)) top_tags
@@ -1365,9 +1375,8 @@ let workload_cmd =
       in
       (* the mix: staircase steps over the two largest tag fragments plus
          the matching XPath queries — reads only, one shared document *)
-      let frag = Scj_frag.Fragmented.build doc in
       let top_tags =
-        List.filteri (fun i _ -> i < 2) (List.map fst (Scj_frag.Fragmented.tags frag))
+        List.filteri (fun i _ -> i < 2) (List.map fst (largest_tags (doc_stats doc)))
       in
       let contexts =
         List.map (fun tag -> Nodeseq.of_sorted_array (Doc.tag_positions doc tag)) top_tags

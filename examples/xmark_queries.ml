@@ -66,13 +66,20 @@ let () =
       print_newline ())
     queries;
 
-  (* the paper's future-work fragmentation experiment *)
-  let frag, build_ms = time (fun () -> Scj.Fragmented.build doc) in
+  (* the paper's future-work fragmentation experiment: a tag fragment is
+     the partition of the dataguide paths ending in its tag *)
+  let cat = Scj.Planner.catalog doc in
+  let fragment tag =
+    Scj.Planner.view cat (Scj.Doc_stats.tag (Scj.Planner.doc_stats cat) tag).paths
+  in
+  let (profile, education), build_ms =
+    time (fun () -> (fragment "profile", fragment "education"))
+  in
   let root = Nodeseq.singleton (Doc.root doc) in
   let (profiles, educations), frag_ms =
     time (fun () ->
-        let p = Scj.Fragmented.desc_step frag root ~tag:"profile" in
-        (p, Scj.Fragmented.desc_step frag p ~tag:"education"))
+        let p = Sj.desc_view doc profile root in
+        (p, Sj.desc_view doc education p))
   in
   Printf.printf "fragmented Q1: %d profiles -> %d educations in %.2f ms (+%.1f ms one-off build)\n"
     (Nodeseq.length profiles) (Nodeseq.length educations) frag_ms build_ms;

@@ -34,6 +34,14 @@ let doc_nodes t = t.doc_nodes
 
 let node t g = t.nodes.(g)
 
+let n_summary t = t.n_summary
+
+let parent t g = (node t g).parent
+
+let kind t g = (node t g).kind
+
+let name t g = (node t g).name
+
 let count t g = Int_col.length (node t g).members
 
 let populated t g = count t g > 0
@@ -124,9 +132,7 @@ let build doc =
   replay_tail t doc ~splice:0;
   t
 
-let update t ~old_doc ~doc ~splice ~delta =
-  ignore old_doc;
-  ignore delta;
+let update t ~old_doc:_ ~doc ~splice ~delta:_ =
   let clone nd =
     let cut = Int_col.first_ge nd.members splice in
     { nd with members = Int_col.sub nd.members ~pos:0 ~len:cut; children = Hashtbl.copy nd.children }
@@ -213,21 +219,52 @@ let card t cur = List.fold_left (fun acc g -> acc + count t g) 0 cur
 
 let cursor_ids cur = cur
 
-let members t cur =
-  let total = card t cur in
-  let arr = Array.make (max 1 total) 0 in
-  let off = ref 0 in
-  List.iter
-    (fun g ->
-      let m = (node t g).members in
-      Int_col.blit_into m arr ~dst_pos:!off;
-      off := !off + Int_col.length m)
-    cur;
-  let arr = if total = Array.length arr then arr else Array.sub arr 0 total in
-  (* member sets of distinct summary nodes are disjoint: sorting the
-     concatenation yields a strictly increasing rank sequence *)
-  Array.sort compare arr;
-  Nodeseq.of_sorted_array arr
+(* Member columns of distinct summary nodes are sorted and disjoint: one
+   path's partition is a copy of its column, k paths merge through a
+   binary min-heap of column indices keyed by each column's next member,
+   in O(members × log k) with one output array.  Retired (empty) columns
+   are left out, so every heap entry has a next member. *)
+let members t ids =
+  match List.filter (populated t) ids with
+  | [] -> Nodeseq.empty
+  | [ g ] -> Nodeseq.of_sorted_array (Int_col.to_array (node t g).members)
+  | ids ->
+    let cols = Array.of_list (List.map (fun g -> (node t g).members) ids) in
+    let k = Array.length cols in
+    let next = Array.make k 0 in
+    let key c = Int_col.unsafe_get cols.(c) next.(c) in
+    let heap = Array.init k Fun.id in
+    let sift_down size i =
+      let i = ref i and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        let c = if l + 1 < size && key heap.(l + 1) < key heap.(l) then l + 1 else l in
+        if l < size && key heap.(c) < key heap.(!i) then begin
+          let tmp = heap.(c) in
+          heap.(c) <- heap.(!i);
+          heap.(!i) <- tmp;
+          i := c
+        end
+        else sifting := false
+      done
+    in
+    for i = (k / 2) - 1 downto 0 do
+      sift_down k i
+    done;
+    let total = Array.fold_left (fun acc c -> acc + Int_col.length c) 0 cols in
+    let out = Array.make total 0 in
+    let size = ref k in
+    for o = 0 to total - 1 do
+      let c = heap.(0) in
+      out.(o) <- key c;
+      next.(c) <- next.(c) + 1;
+      if next.(c) = Int_col.length cols.(c) then begin
+        decr size;
+        heap.(0) <- heap.(!size)
+      end;
+      sift_down !size 0
+    done;
+    Nodeseq.of_sorted_array out
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -406,7 +443,8 @@ let deserialize blob =
   in
   let rd_string () =
     let len = rd_int () in
-    if len < 0 || !pos + len > Bytes.length blob then raise (Bad "corrupt string length in guide blob");
+    if len < 0 || len > Bytes.length blob - !pos then
+      raise (Bad "corrupt string length in guide blob");
     let s = Bytes.sub_string blob !pos len in
     pos := !pos + len;
     s
@@ -428,6 +466,8 @@ let deserialize blob =
       let name = rd_string () in
       let n_members = rd_int () in
       if n_members <= 0 then raise (Bad "empty summary node in guide blob");
+      if n_members > (Bytes.length blob - !pos) / 8 then
+        raise (Bad "guide member count exceeds the blob");
       let members = Int_col.create ~capacity:n_members () in
       let prev = ref (-1) in
       for _ = 1 to n_members do

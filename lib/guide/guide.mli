@@ -9,21 +9,23 @@
 
     Two consumers:
 
-    - the planner ({!Scj_plan.Planner}): matching a structural step
-      sequence against the guide yields near-exact cardinalities, and a
-      path's member set is a {e path partition} — a fragment view the
-      staircase join can scan instead of the whole document table;
+    - the planner ({!Scj_plan.Planner}): its statistics
+      ({!Doc_stats}) are one fold over the summary nodes; matching a
+      structural step sequence against the guide yields near-exact
+      cardinalities; and the member set of some summary nodes is a
+      {e partition} the staircase join can scan instead of the whole
+      document table — a cursor's paths, or every path ending in one
+      tag (the tag fragment);
 
     - the store ({!Scj_store.Store}): {!serialize} produces the blob
       persisted as a page-aligned, CRC-trailed extent, so reopening a
       store recovers the guide without rescanning the document.
 
-    Maintenance mirrors {!Scj_stats.Doc_stats.update}: after a
-    {!Scj_encoding.Update} splice, member ranks at or beyond the splice
-    point are dropped and the spliced tail is replayed — rows below the
-    splice keep their pre rank, kind, name and ancestor chain, so their
-    summary assignment is untouched.  {!update} is guaranteed (and
-    fuzz-tested) to equal {!build} of the new document. *)
+    After a {!Scj_encoding.Update} splice, member ranks at or beyond the
+    splice point are dropped and the spliced tail is replayed — rows
+    below the splice keep their pre rank, kind, name and ancestor chain,
+    so their summary assignment is untouched.  {!update} is guaranteed
+    (and fuzz-tested) to equal {!build} of the new document. *)
 
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
@@ -35,9 +37,9 @@ type t
 val build : Doc.t -> t
 
 (** Splice-maintenance across a mutation (see {!Scj_encoding.Update}):
-    equivalent to [build doc], at the cost of the spliced tail.
-    [old_doc] and [delta] are accepted for signature parity with
-    [Doc_stats.update]; the splice point alone determines the work. *)
+    equivalent to [build doc], at the cost of the spliced tail.  The
+    splice point alone determines the work; [old_doc] and [delta] are
+    unused. *)
 val update : t -> old_doc:Doc.t -> doc:Doc.t -> splice:int -> delta:int -> t
 
 (** Document rows summarized (the sum of all member counts). *)
@@ -45,6 +47,26 @@ val doc_nodes : t -> int
 
 (** Live summary nodes (distinct populated root paths). *)
 val n_paths : t -> int
+
+(** {1 Summary nodes}
+
+    Ids run from 0 to [n_summary t - 1], every parent before its
+    children, so a descending sweep meets each node after all of its
+    summary descendants.  Retired nodes (count 0) keep their ids. *)
+
+val n_summary : t -> int
+
+(** Summary parent; -1 for a root path. *)
+val parent : t -> int -> int
+
+val kind : t -> int -> Doc.kind
+
+(** Element, attribute or processing-instruction name; "" for the
+    unnamed kinds. *)
+val name : t -> int -> string
+
+(** Members on the path. *)
+val count : t -> int -> int
 
 (** {1 Cursors — planner-side path matching}
 
@@ -87,8 +109,11 @@ val card : t -> cursor -> int
     paths cost O(depth) bytes per path). *)
 val cursor_ids : cursor -> int list
 
-(** The partition: every member pre rank, in document order. *)
-val members : t -> cursor -> Nodeseq.t
+(** [members t ids] — the partition of sorted, distinct summary ids (a
+    cursor's, or a tag's {!Doc_stats.tag_stats.paths}): every member pre
+    rank, in document order.  One path copies its column; k paths merge
+    in O(members × log k). *)
+val members : t -> int list -> Nodeseq.t
 
 (** {1 Inspection} *)
 

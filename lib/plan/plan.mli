@@ -6,10 +6,11 @@
     by {!Planner.plan} into a {e physical} plan whose every partitioning
     step carries its join backend and the extent it scans, together with
     its cost estimates.  Under Auto a descendant or ancestor step is the
-    serial staircase join in estimation mode over the cheapest extent:
-    the whole document, the step's tag fragment or its dataguide path
-    partition; over the document, the join kernel applies a kind test or
-    a declined name test itself.  The other backends (the serial
+    serial staircase join in estimation mode over the cheaper of two
+    extents: the whole document, or the step's partition — its
+    dataguide cursor's paths, or its tag fragment where the guide does
+    not track the context; over the document, the join kernel applies a
+    kind test or a declined name test itself.  The other backends (the serial
     staircase in another skip mode, the morsel-driven and paged
     staircase, the B+-tree/SQL plan of Fig. 3, MPMGJN, structural join
     and the naive per-context-node region query) run only when forced:
@@ -92,11 +93,10 @@ type backend =
     document, and where the step's node test runs. *)
 type push =
   | No_push  (** the document; the node test filters after the join *)
-  | Push_tag of string  (** the tag-name view *)
-  | Push_guide of int list
-      (** a dataguide path partition, keyed by its sorted summary ids
-          (the catalog's memo key): the step's fully-qualified path set
-          selects only its partition's pre extents *)
+  | Push_paths of int list
+      (** the partition of these sorted dataguide summary ids (the
+          catalog's memo key): a guide cursor's paths, or every path
+          ending in the step's tag — its tag fragment *)
   | Push_test
       (** the document; the kernel applies the node test while it
           writes the result ({!Scj_core.Staircase.desc_test}), or for

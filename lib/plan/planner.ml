@@ -1,7 +1,7 @@
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Exec = Scj_trace.Exec
-module Doc_stats = Scj_stats.Doc_stats
+module Doc_stats = Scj_guide.Doc_stats
 module Sj = Scj_core.Staircase
 module Axis = Scj_encoding.Axis
 module Int_col = Scj_bat.Int_col
@@ -22,9 +22,7 @@ open Plan
 type t = {
   cat_doc : Doc.t;
   paged : Paged_doc.t option;
-  views : (string, Sj.View.t) Hashtbl.t;
-  attr_views : (string, Nodeseq.t) Hashtbl.t;
-  guide_views : (int list, Sj.View.t) Hashtbl.t;
+  views : (int list, Sj.View.t) Hashtbl.t;
   mutable dstats : Doc_stats.t option;
   mutable cat_guide : Guide.t option;
   mutable index : Sql_plan.index option;
@@ -35,8 +33,6 @@ let catalog ?paged ?guide doc =
     cat_doc = doc;
     paged;
     views = Hashtbl.create 16;
-    attr_views = Hashtbl.create 16;
-    guide_views = Hashtbl.create 16;
     dstats = None;
     cat_guide = guide;
     index = None;
@@ -44,23 +40,16 @@ let catalog ?paged ?guide doc =
 
 let doc t = t.cat_doc
 
-(* Carry a catalog across a mutation (see Update.applied): statistics are
-   patched in place of a rescan, the B+-tree index is spliced key-by-key
-   instead of rebuilt, and the tag and partition views — cheap
-   single-scan structures — are dropped for lazy rebuild.  Ownership of
-   the mutable index transfers to the new catalog: the old one must not serve
-   queries afterwards (the server retires a rendition's session before
-   evolving it). *)
+(* Carry a catalog across a mutation (see Update.applied): the guide is
+   splice-maintained, the B+-tree index is spliced key-by-key instead of
+   rebuilt, and the statistics and partition views — derived from the
+   guide — are dropped for lazy rebuild.  Ownership of the mutable index
+   transfers to the new catalog: the old one must not serve queries
+   afterwards (the server retires a rendition's session before evolving
+   it). *)
 let evolve ?paged t ~doc ~splice ~delta =
-  let dstats =
-    match t.dstats with
-    | None -> None
-    | Some s -> Some (Doc_stats.update s ~old_doc:t.cat_doc ~doc ~splice ~delta)
-  in
   let cat_guide =
-    match t.cat_guide with
-    | None -> None
-    | Some g -> Some (Guide.update g ~old_doc:t.cat_doc ~doc ~splice ~delta)
+    Option.map (fun g -> Guide.update g ~old_doc:t.cat_doc ~doc ~splice ~delta) t.cat_guide
   in
   let index =
     match t.index with
@@ -69,55 +58,7 @@ let evolve ?paged t ~doc ~splice ~delta =
       Sql_plan.maintain idx ~old_doc:t.cat_doc ~doc ~splice ~delta;
       Some idx
   in
-  {
-    cat_doc = doc;
-    paged;
-    views = Hashtbl.create 16;
-    attr_views = Hashtbl.create 16;
-    guide_views = Hashtbl.create 16;
-    dstats;
-    cat_guide;
-    index;
-  }
-
-let doc_stats t =
-  match t.dstats with
-  | Some s -> s
-  | None ->
-    let s = Doc_stats.build t.cat_doc in
-    t.dstats <- Some s;
-    s
-
-(* Element-only view of a tag name (the principal node kind of name tests
-   on non-attribute axes), built by appending the element positions into
-   one column — no intermediate Seq materialization. *)
-let tag_view t name =
-  match Hashtbl.find_opt t.views name with
-  | Some v -> v
-  | None ->
-    let doc = t.cat_doc in
-    let positions = Doc.tag_positions doc name in
-    let kinds = Doc.kind_array doc in
-    let col = Int_col.create ~capacity:(max 1 (Array.length positions)) () in
-    Array.iter (fun p -> if kinds.(p) = Doc.Element then Int_col.append_unit col p) positions;
-    let view = Sj.View.of_nodeseq doc (Nodeseq.of_sorted_array (Int_col.to_array col)) in
-    Hashtbl.add t.views name view;
-    view
-
-(* The attribute nodes of one name — the fragment of a semijoin's
-   attribute step.  Only the node sequence: no join runs over it. *)
-let attr_view t name =
-  match Hashtbl.find_opt t.attr_views name with
-  | Some v -> v
-  | None ->
-    let kinds = Doc.kind_array t.cat_doc in
-    let v =
-      Nodeseq.filter
-        (fun p -> kinds.(p) = Doc.Attribute)
-        (Nodeseq.of_sorted_array (Doc.tag_positions t.cat_doc name))
-    in
-    Hashtbl.add t.attr_views name v;
-    v
+  { cat_doc = doc; paged; views = Hashtbl.create 16; dstats = None; cat_guide; index }
 
 let guide t =
   match t.cat_guide with
@@ -127,17 +68,23 @@ let guide t =
     t.cat_guide <- Some g;
     g
 
-(* The path partition as a staircase-join fragment view, memoized under
-   the cursor's sorted summary ids — [Sj.desc_view]/[anc_view] then scan
-   only the partition's pre extents instead of the whole document
-   table. *)
-let guide_partition_view t cur =
-  let ids = Guide.cursor_ids cur in
-  match Hashtbl.find_opt t.guide_views ids with
+let doc_stats t =
+  match t.dstats with
+  | Some s -> s
+  | None ->
+    let s = Doc_stats.of_guide (guide t) t.cat_doc in
+    t.dstats <- Some s;
+    s
+
+(* The partition of sorted summary ids — a tag's or attribute name's
+   fragment, or a guide cursor's paths — as a staircase-join view, built
+   on first use. *)
+let view t ids =
+  match Hashtbl.find_opt t.views ids with
   | Some v -> v
   | None ->
-    let v = Sj.View.of_nodeseq t.cat_doc (Guide.members (guide t) cur) in
-    Hashtbl.add t.guide_views ids v;
+    let v = Sj.View.of_nodeseq t.cat_doc (Guide.members (guide t) ids) in
+    Hashtbl.add t.views ids v;
     v
 
 let sql_index t =
@@ -365,10 +312,10 @@ let kernel_note dir test =
   | Anc, Wildcard -> Some "every ancestor is an element"
   | Anc, (Name _ | Any_node | Text_node | Comment_node | Pi_node _) -> None
 
-(* Name-test pushdown: a fragment of [size] nodes cheaper than the
-   estimated scan replaces the post-join filter.  Where the kernel can
-   test ([kernel]), the test runs inside the document join instead of
-   after it, unless pushdown is disabled. *)
+(* Pushdown: a partition of [size] nodes cheaper than the estimated scan
+   replaces the post-join filter.  Where the kernel can test ([kernel]),
+   the test runs inside the document join instead of after it, unless
+   pushdown is disabled. *)
 let push_decision policy ~kernel ~touches candidate =
   let in_kernel = Option.map (fun note -> "yes (" ^ note ^ ")") kernel in
   match (candidate, policy.pushdown, in_kernel) with
@@ -386,13 +333,24 @@ let push_decision policy ~kernel ~touches candidate =
       | None -> (No_push, Some ("no (filter after the join) -- " ^ cmp)))
     | `Always | `Cost_based -> (push, Some ("yes (join over the fragment) -- " ^ cmp)))
 
-let tag_candidate (st : Doc_stats.t) tag =
-  Some (Push_tag tag, (Doc_stats.tag st tag).count, Printf.sprintf "tag fragment '%s'" tag)
+(* The step's partition: the guide cursor's paths when the guide tracks
+   the context ([gpart]), else every path of the step's tag — its tag
+   fragment, of which a cursor's partition is a subset. *)
+let partition cat (s : step) ~gpart =
+  match (gpart, s.test) with
+  | Some cur, _ ->
+    Some (Push_paths (Guide.cursor_ids cur), Guide.card (guide cat) cur, "guide partition")
+  | None, Name tag ->
+    let ts = Doc_stats.tag (doc_stats cat) tag in
+    Some (Push_paths ts.paths, ts.count, Printf.sprintf "tag fragment '%s'" tag)
+  | None, (Wildcard | Any_node | Text_node | Comment_node | Pi_node _) -> None
 
 (* Plans the step's join; the returned cardinality is the candidate
    count, before the step's predicates. *)
 let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
   let st = doc_stats cat in
+  let candidate = partition cat s ~gpart in
+  let size = match candidate with Some (_, size, _) -> size | None -> 0 in
   match dir with
   | Following | Preceding ->
     (* the context prunes to a single region query (§3.1); the §4.4
@@ -404,19 +362,14 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
     let backend = match policy.choice with Force Naive -> Naive | Force _ | Auto -> Serial Exec.Estimation in
     let push, push_note =
       match policy.choice with
-      | Auto ->
-        push_decision policy ~kernel:(kernel_note dir s.test) ~touches
-          (match s.test with
-          | Name tag -> tag_candidate st tag
-          | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None)
+      | Auto -> push_decision policy ~kernel:(kernel_note dir s.test) ~touches candidate
       | Force _ -> (No_push, None)
     in
     let cost =
       match (backend, push) with
       | Naive, _ -> float_of_int sum.card *. float_of_int st.n_nodes
-      | _, Push_tag tag -> float_of_int (Doc_stats.tag st tag).count
-      | ( (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin),
-          (No_push | Push_guide _ | Push_test) ) ->
+      | _, Push_paths _ -> float_of_int size
+      | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_test) ->
         float_of_int touches
     in
     let out = min cap touches in
@@ -442,13 +395,11 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
     let push, push_note =
       push_decision policy
         ~kernel:(if policy.choice = Auto then kernel_note dir s.test else None)
-        ~touches
-        (match s.test with
-        | Name tag -> tag_candidate st tag
-        | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None)
+        ~touches candidate
     in
-    let tag_cost tag = float_of_int (Doc_stats.tag st tag).count +. tail in
-    let serial_cost mode = match push with Push_tag tag -> tag_cost tag | _ -> scan mode in
+    let serial_cost mode =
+      match push with Push_paths _ -> float_of_int size +. tail | No_push | Push_test -> scan mode
+    in
     let backend, cost, alternatives, push, push_note =
       match policy.choice with
       | Force b ->
@@ -467,47 +418,16 @@ let plan_join cat policy sum (s : step) ~dir ~or_self ~per_node ~cap ~gpart =
         (b, cost, [], push, push_note)
       | Auto ->
         (* One kernel, the serial staircase in estimation mode; only its
-           extent is chosen.  The pushdown decision picks the document or
-           the tag fragment, and the guide path partition displaces that
-           choice when strictly smaller (DESIGN.md, Planning). *)
-        let raced = policy.pushdown <> `Never in
-        let partition =
-          match gpart with
-          | Some cur when raced && not (Guide.is_empty cur) ->
-            Some (cur, Guide.card (guide cat) cur)
-          | Some _ | None -> None
+           extent is chosen — the document or the step's partition
+           (DESIGN.md, Planning). *)
+        let rejected =
+          match (push, candidate) with
+          | Push_paths _, _ -> [ ("document", scan Exec.Estimation) ]
+          | (No_push | Push_test), Some (_, _, what) when policy.pushdown <> `Never ->
+            [ (what, float_of_int size +. tail) ]
+          | (No_push | Push_test), (Some _ | None) -> []
         in
-        (* the document extent carries the in-kernel test when it has one *)
-        let doc_push = match push with Push_test -> Push_test | _ -> No_push in
-        let extents =
-          (("document", doc_push, scan Exec.Estimation)
-          ::
-          (match s.test with
-          | Name tag when raced ->
-            [ (Printf.sprintf "tag fragment '%s'" tag, Push_tag tag, tag_cost tag) ]
-          | Name _ | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> []))
-          @
-          match partition with
-          | Some (cur, size) ->
-            [ ("guide partition", Push_guide (Guide.cursor_ids cur), float_of_int size +. tail) ]
-          | None -> []
-        in
-        let push, push_note =
-          match partition with
-          | Some (cur, size) when float_of_int size +. tail < serial_cost Exec.Estimation ->
-            ignore (guide_partition_view cat cur);
-            ( Push_guide (Guide.cursor_ids cur),
-              Some
-                (Printf.sprintf
-                   "yes (guide path partition) -- %d node(s) vs. estimated scan of %d node(s)" size
-                   touches) )
-          | Some _ | None -> (push, push_note)
-        in
-        let _, _, cost = List.find (fun (_, p, _) -> p = push) extents in
-        let alternatives =
-          List.filter_map (fun (name, p, c) -> if p = push then None else Some (name, c)) extents
-        in
-        (Serial Exec.Estimation, cost, alternatives, push, push_note)
+        (Serial Exec.Estimation, serial_cost Exec.Estimation, rejected, push, push_note)
     in
     let out =
       let join_out = min cap touches in
@@ -604,9 +524,9 @@ let rec leaves = function
   | And (a, b) | Or (a, b) -> leaves a @ leaves b
   | Not a -> leaves a
 
-(* A semijoin reads one fragment per step — the element tag view, or the
-   attribute-name view on the attribute axis — so every step must carry a
-   name test. *)
+(* A semijoin reads one fragment per step — the elements of the step's
+   name, or its attributes on the attribute axis — so every step must
+   carry a name test. *)
 let semijoinable form =
   List.for_all
     (function
@@ -615,10 +535,15 @@ let semijoinable form =
       | And _ | Or _ | Not _ -> true)
     (leaves form)
 
+(* The statistics of a named step's fragment: the attributes of that
+   name on the attribute axis, the elements elsewhere. *)
+let name_stats cat (s : step) name =
+  let st = doc_stats cat in
+  if s.axis = Axis.Attribute then Doc_stats.attribute st name else Doc_stats.tag st name
+
 let fragment_size cat (s : step) =
   match s.test with
-  | Name n when s.axis = Axis.Attribute -> Some (Nodeseq.length (attr_view cat n))
-  | Name n -> Some (Doc_stats.tag (doc_stats cat) n).count
+  | Name n -> Some (name_stats cat s n).count
   | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ -> None
 
 (* Candidates the form can keep: one with a match needs a node of the
@@ -989,33 +914,26 @@ let run_join cat exec ~dir ~backend ~push context =
   | Following -> (
     match (backend, push) with
     | Naive, _ -> (Naive_join.step ~exec doc context Axis.Following, false)
-    | _, Push_tag tag -> (Sj.following_view ~exec doc (tag_view cat tag) context, true)
-    | ( (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin),
-        (No_push | Push_guide _ | Push_test) ) ->
+    | _, Push_paths ids -> (Sj.following_view ~exec doc (view cat ids) context, true)
+    | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_test) ->
       (Sj.following ~exec doc context, false))
   | Preceding -> (
     match (backend, push) with
     | Naive, _ -> (Naive_join.step ~exec doc context Axis.Preceding, false)
-    | _, Push_tag tag -> (Sj.preceding_view ~exec doc (tag_view cat tag) context, true)
-    | ( (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin),
-        (No_push | Push_guide _ | Push_test) ) ->
+    | _, Push_paths ids -> (Sj.preceding_view ~exec doc (view cat ids) context, true)
+    | (Serial _ | Morsel _ | Paged | Btree _ | Mpmgjn | Structjoin), (No_push | Push_test) ->
       (Sj.preceding ~exec doc context, false))
   | (Desc | Anc) as dir -> (
     let descending = dir = Desc in
     match backend with
     | Serial mode -> (
       let exec = Exec.with_mode exec mode in
-      let over view =
-        ((if descending then Sj.desc_view else Sj.anc_view) ~exec doc view context, true)
-      in
-      let whole () = ((if descending then Sj.desc else Sj.anc) ~exec doc context, false) in
       match push with
-      | Push_tag tag -> over (tag_view cat tag)
-      | Push_guide ids -> (
+      | Push_paths ids ->
         (* partition members all satisfy the step's node test by
            construction — the scan is pre-filtered *)
-        match Hashtbl.find_opt cat.guide_views ids with Some view -> over view | None -> whole ())
-      | No_push | Push_test -> whole ())
+        ((if descending then Sj.desc_view else Sj.anc_view) ~exec doc (view cat ids) context, true)
+      | No_push | Push_test -> ((if descending then Sj.desc else Sj.anc) ~exec doc context, false))
     | Morsel mode ->
       let exec = Exec.with_mode exec mode in
       ((if descending then Morsel_join.desc else Morsel_join.anc) ~exec doc context, false)
@@ -1095,8 +1013,7 @@ let polled exec f =
 (* The nodes a named step selects anywhere in the document. *)
 let fragment cat (s : step) =
   match s.test with
-  | Name n when s.axis = Axis.Attribute -> attr_view cat n
-  | Name n -> Sj.View.to_nodeseq (tag_view cat n)
+  | Name n -> Sj.View.to_nodeseq (view cat (name_stats cat s n).paths)
   | Wildcard | Any_node | Text_node | Comment_node | Pi_node _ ->
     invalid_arg "Planner.fragment: not a name test"
 

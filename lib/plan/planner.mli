@@ -1,5 +1,5 @@
 (** The cost-based planner: logical-plan rewrites, a statistics-driven
-    cost model ({!Scj_stats.Doc_stats}), physical backend selection per
+    cost model ({!Scj_guide.Doc_stats}), physical backend selection per
     partitioning step, and the operator-tree interpreter.
 
     The pipeline is [rewrite] → [plan] → [execute]; the front-end
@@ -10,17 +10,17 @@
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Exec = Scj_trace.Exec
-module Doc_stats = Scj_stats.Doc_stats
+module Doc_stats = Scj_guide.Doc_stats
 module Sj = Scj_core.Staircase
 
 (** {1 Catalog}
 
-    Per-document planning and execution state: memoized document
-    statistics, element-only tag views (name-test pushdown and
-    semijoin fragments), attribute-name views (semijoin fragments),
-    dataguide path-partition views, the B+-tree index of the SQL
-    baseline, and — when attached — the paged rendition of the
-    document. *)
+    Per-document planning and execution state: the dataguide, the
+    statistics folded from it, one memo of partition views keyed by
+    sorted summary ids (tag fragments for name-test pushdown and
+    semijoins, attribute-name fragments for semijoins, guide cursor
+    partitions), the B+-tree index of the SQL baseline, and — when
+    attached — the paged rendition of the document. *)
 
 type t
 
@@ -34,26 +34,27 @@ val doc : t -> Doc.t
 
 (** [evolve ?paged t ~doc ~splice ~delta] carries the catalog across a
     mutation that renumbered [doc t] into [doc] (see
-    {!Scj_encoding.Update.applied}): memoized statistics are patched with
-    {!Doc_stats.update}, the dataguide with {!Scj_guide.Guide.update},
-    the B+-tree index is spliced with
-    {!Scj_engine.Sql_plan.maintain}, and the single-scan tag and guide
-    partition views are dropped for lazy rebuild.  Structures never
+    {!Scj_encoding.Update.applied}): the dataguide is maintained with
+    {!Scj_guide.Guide.update}, the B+-tree index is spliced with
+    {!Scj_engine.Sql_plan.maintain}, and the statistics and partition
+    views, which derive from the guide, are dropped for lazy rebuild.
+    Structures never
     materialized stay unmaterialized — evolving costs nothing until the
     planner asked for something.  The mutable index transfers to the returned catalog;
     the old catalog must not execute queries afterwards. *)
 val evolve : ?paged:Scj_pager.Paged_doc.t -> t -> doc:Doc.t -> splice:int -> delta:int -> t
 
-(** Memoized one-pass document statistics. *)
-val doc_stats : t -> Doc_stats.t
-
 (** Memoized strong dataguide (path summary) — built on first use
     unless seeded through [catalog ?guide]. *)
 val guide : t -> Scj_guide.Guide.t
 
-(** Element-only view of a tag name, built with bulk column ops and
-    memoized — the pushdown fragment. *)
-val tag_view : t -> string -> Sj.View.t
+(** Memoized statistics, one fold over {!guide}. *)
+val doc_stats : t -> Doc_stats.t
+
+(** [view t ids] — the partition of sorted summary ids (a tag's
+    {!Doc_stats.tag_stats.paths}, or a guide cursor's) as a staircase
+    join view, built on first use and memoized under [ids]. *)
+val view : t -> int list -> Sj.View.t
 
 (** Memoized B+-tree index for the Fig.-3 baseline. *)
 val sql_index : t -> Scj_engine.Sql_plan.index
@@ -73,8 +74,9 @@ type policy = {
   pushdown : pushdown;
   guide : bool;
       (** match structural step prefixes against the dataguide: exact
-          cardinalities and guide-partition extents.  Off, the planner
-          estimates from flat [Doc_stats] alone. *)
+          cardinalities and cursor partitions.  Off, the planner
+          estimates from flat [Doc_stats] alone, and a step's partition
+          is its tag fragment. *)
 }
 
 (** [Auto] with cost-based pushdown and guide cardinalities. *)
@@ -101,9 +103,10 @@ val rewrite : Plan.logical -> Plan.logical
 (** [plan t policy ?context_card logical] lowers a (rewritten) logical
     plan: statistics propagate a context-cardinality estimate through the
     steps.  Under [Auto] every descendant and ancestor step is the serial
-    staircase join in estimation mode over the cheapest of its extents —
-    the document, the step's tag fragment or its guide path partition —
-    recorded with the pushdown decision and the rejected extents.  Over
+    staircase join in estimation mode over the cheaper of two extents —
+    the document, or the step's partition: its guide cursor's paths when
+    the guide tracks the context, else its tag fragment — recorded with
+    the pushdown decision and the rejected extent.  Over
     the document, a descendant, following or preceding step applies a
     kind test or a declined name test inside the join kernel
     ({!Plan.Push_test}), unless pushdown is [`Never]; [ancestor::*]

@@ -11,7 +11,7 @@
 
     The aliases are grouped as in DESIGN.md: encoding, execution
     context & observability, join algorithms, query languages,
-    fragmentation/parallelism, storage. *)
+    parallelism, storage. *)
 
 (** {1 Errors} *)
 
@@ -45,7 +45,7 @@ module Sqlgen = Scj_engine.Sqlgen
 module Plan = Scj_plan.Plan
 module Planner = Scj_plan.Planner
 module Flwor = Scj_plan.Flwor
-module Doc_stats = Scj_stats.Doc_stats
+module Doc_stats = Scj_guide.Doc_stats
 module Guide = Scj_guide.Guide
 
 (** {1 Query languages} *)
@@ -58,9 +58,8 @@ module Xq_parse = Scj_xquery.Xq_parse
 module Xq_eval = Scj_xquery.Xq_eval
 module Xq_compile = Scj_xquery.Xq_compile
 
-(** {1 Fragmentation & parallelism} *)
+(** {1 Parallelism} *)
 
-module Fragmented = Scj_frag.Fragmented
 module Parallel = Scj_frag.Parallel
 
 (** {1 XML input/output & generators} *)

@@ -25,14 +25,15 @@ module Plan = Scj_plan.Plan
 module Planner = Scj_plan.Planner
 
 (** How the planner picks the join backend: [`Auto] runs the serial
-    staircase over the cheapest extent of each descendant and ancestor
-    step; [`Auto_flat] is [`Auto] with the
-    dataguide disabled — cardinalities come from flat
-    {!Scj_stats.Doc_stats} alone (the ablation baseline for the path
-    summary); [`Force b] pins one backend for all partitioning steps
-    (the §4.4 ablation harness).  [pushdown] controls the name-test
-    fragment rewrite: [`Cost_based] compares the fragment view size
-    against the estimated un-pushed scan. *)
+    staircase over the cheaper extent of each descendant and ancestor
+    step, the document or the step's partition; [`Auto_flat] is
+    [`Auto] without dataguide cursors — cardinalities come from flat
+    {!Scj_guide.Doc_stats} alone (the ablation baseline for the path
+    summary) and a step's partition is its tag fragment; [`Force b]
+    pins one backend for all partitioning steps (the §4.4 ablation
+    harness).  [pushdown] controls the partition rewrite: [`Cost_based]
+    compares the partition's size against the estimated un-pushed
+    scan. *)
 type strategy = {
   backend : [ `Auto | `Auto_flat | `Force of Plan.backend ];
   pushdown : [ `Never | `Always | `Cost_based ];

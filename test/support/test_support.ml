@@ -111,3 +111,6 @@ module Fuzz = Fuzz
 
 (* Fault-injection I/O for the durable-store recovery fuzz. *)
 module Faultfs = Faultfs
+
+(* The document-scan oracle of the guide-derived planner statistics. *)
+module Doc_scan = Doc_scan

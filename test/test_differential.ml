@@ -535,8 +535,8 @@ let planner_cases =
 (* Random absolute structural paths (the region where the dataguide
    drives cardinalities and path partitions) evaluated three ways —
    auto with the guide, auto restricted to flat statistics, and auto
-   with every fragment pushed, so partition scans run wherever a
-   partition is smaller than the tag fragment — must all be
+   with every partition pushed, so a partition scan runs on every
+   descendant or ancestor step with a name test — must all be
    bit-identical to the spec oracle folded from the root. *)
 
 module Guide = Scj_guide.Guide

@@ -587,7 +587,7 @@ let () =
           Alcotest.test_case "of_string" `Quick test_of_string;
           Alcotest.test_case "of_string error" `Quick test_of_string_error;
           Alcotest.test_case "sax loader = tree loader" `Quick test_sax_loader_matches_tree_loader;
-          Alcotest.test_case "50k-deep document" `Quick test_deep_document;
+          Alcotest.test_case "1M-deep document" `Quick test_deep_document;
           Alcotest.test_case "to_tree roundtrip" `Quick test_to_tree_roundtrip;
           Alcotest.test_case "of_file" `Quick test_of_file;
         ] );

@@ -1,5 +1,6 @@
-(* Tests for tag-name fragmentation and the partition-parallel staircase
-   join (lib/frag). *)
+(* Tests for tag-name fragmentation — a tag fragment is the partition of
+   the dataguide paths ending in the tag, as the planner's catalog serves
+   it — and the partition-parallel staircase join (lib/frag). *)
 
 module Doc = Scj_encoding.Doc
 module Exec = Scj_trace.Exec
@@ -7,7 +8,8 @@ module Nodeseq = Scj_encoding.Nodeseq
 module Axis = Scj_encoding.Axis
 module Stats = Scj_stats.Stats
 module Sj = Scj_core.Staircase
-module Fragmented = Scj_frag.Fragmented
+module Planner = Scj_plan.Planner
+module Doc_stats = Scj_guide.Doc_stats
 module Parallel = Scj_frag.Parallel
 module Morsel = Scj_frag.Morsel
 
@@ -29,47 +31,61 @@ let xmark = lazy (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.confi
 (* fragmentation                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The fragments of a document: its statistics, folded from the guide,
+   and the memoized view of a tag's paths. *)
+let fragments d =
+  let cat = Planner.catalog d in
+  let st = Planner.doc_stats cat in
+  (st, fun tag -> Planner.view cat (Doc_stats.tag st tag).paths)
+
+let desc_step d fragment context ~tag = Sj.desc_view d (fragment tag) context
+
+let anc_step d fragment context ~tag = Sj.anc_view d (fragment tag) context
+
 let test_build_paper () =
-  let f = Fragmented.build (doc ()) in
+  let st, fragment = fragments (doc ()) in
   (* ten distinct single-letter tags *)
-  check_int "ten fragments" 10 (Fragmented.n_fragments f);
-  check_int "size of a" 1 (Fragmented.fragment_size f "a");
-  check_int "missing tag" 0 (Fragmented.fragment_size f "zz");
-  check_bool "fragment lookup" true (Fragmented.fragment f "f" <> None)
+  check_int "ten fragments" 10 (Hashtbl.length st.Doc_stats.tags);
+  check_int "size of a" 1 (Doc_stats.tag st "a").count;
+  check_int "view of a" 1 (Sj.View.length (fragment "a"));
+  check_int "missing tag" 0 (Doc_stats.tag st "zz").count;
+  check_bool "fragment lookup" true ((Doc_stats.tag st "f").paths <> [])
 
 let test_fragment_sizes_cover_elements () =
   let d = Lazy.force xmark in
-  let f = Fragmented.build d in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (Fragmented.tags f) in
+  let st, _ = fragments d in
+  let total = Hashtbl.fold (fun _ (ts : Doc_stats.tag_stats) acc -> acc + ts.count) st.tags 0 in
   let elements = ref 0 in
   let kinds = Doc.kind_array d in
   Array.iter (fun k -> if k = Doc.Element then incr elements) kinds;
   check_int "fragments partition the elements" !elements total
 
 let test_desc_step_paper () =
-  let f = Fragmented.build (doc ()) in
+  let d = doc () in
+  let _, f = fragments d in
   Alcotest.check nodeseq "descendant::f from root" (seq [ "f" ])
-    (Fragmented.desc_step f (seq [ "a" ]) ~tag:"f");
+    (desc_step d f (seq [ "a" ]) ~tag:"f");
   Alcotest.check nodeseq "descendant::g from e" (seq [ "g" ])
-    (Fragmented.desc_step f (seq [ "e" ]) ~tag:"g");
-  Alcotest.check nodeseq "no match" Nodeseq.empty (Fragmented.desc_step f (seq [ "b" ]) ~tag:"g")
+    (desc_step d f (seq [ "e" ]) ~tag:"g");
+  Alcotest.check nodeseq "no match" Nodeseq.empty (desc_step d f (seq [ "b" ]) ~tag:"g")
 
 let test_anc_step_paper () =
-  let f = Fragmented.build (doc ()) in
+  let d = doc () in
+  let _, f = fragments d in
   Alcotest.check nodeseq "ancestor::e of g,j" (seq [ "e" ])
-    (Fragmented.anc_step f (seq [ "g"; "j" ]) ~tag:"e");
-  Alcotest.check nodeseq "ancestor::a" (seq [ "a" ]) (Fragmented.anc_step f (seq [ "g" ]) ~tag:"a")
+    (anc_step d f (seq [ "g"; "j" ]) ~tag:"e");
+  Alcotest.check nodeseq "ancestor::a" (seq [ "a" ]) (anc_step d f (seq [ "g" ]) ~tag:"a")
 
 (* The future-work experiment: fragmented evaluation matches the plain
    staircase join followed by a name test, while touching only fragment
    nodes. *)
 let test_fragment_matches_full_join_on_xmark () =
   let d = Lazy.force xmark in
-  let f = Fragmented.build d in
+  let _, f = fragments d in
   let root = Nodeseq.singleton (Doc.root d) in
   let stats_frag = Stats.create () in
-  let profiles = Fragmented.desc_step ~exec:(Exec.make ~stats:stats_frag ()) f root ~tag:"profile" in
-  let educations = Fragmented.desc_step f profiles ~tag:"education" in
+  let profiles = Sj.desc_view ~exec:(Exec.make ~stats:stats_frag ()) d (f "profile") root in
+  let educations = desc_step d f profiles ~tag:"education" in
   (* reference: full staircase join + name filter *)
   let filter_tag seq tag =
     match Doc.tag_symbol d tag with
@@ -99,15 +115,15 @@ let prop_fragment_steps_agree =
           (Test_support.doc_with_context_gen ())
           (QCheck.Gen.oneofl [ "a"; "b"; "item"; "x"; "root" ])))
     (fun ((d, ctx), tag) ->
-      let f = Fragmented.build d in
+      let _, f = fragments d in
       let filter_tag seq =
         match Doc.tag_symbol d tag with
         | None -> Nodeseq.empty
         | Some sym ->
           Nodeseq.filter (fun v -> Doc.kind d v = Doc.Element && Doc.tag d v = sym) seq
       in
-      Nodeseq.equal (Fragmented.desc_step f ctx ~tag) (filter_tag (Sj.desc d ctx))
-      && Nodeseq.equal (Fragmented.anc_step f ctx ~tag) (filter_tag (Sj.anc d ctx)))
+      Nodeseq.equal (desc_step d f ctx ~tag) (filter_tag (Sj.desc d ctx))
+      && Nodeseq.equal (anc_step d f ctx ~tag) (filter_tag (Sj.anc d ctx)))
 
 (* ------------------------------------------------------------------ *)
 (* parallel                                                            *)

@@ -1,18 +1,22 @@
 (* Strong dataguide: construction over known trees (one summary node per
-   distinct root path, disjoint member sets), cursor stepping against an
-   evaluation oracle, blob persistence, store integration — and the
-   maintenance fuzz: after every random Update op, the incrementally
-   maintained guide must equal a from-scratch rebuild of the new
-   document, member-for-member. *)
+   distinct root path, disjoint member sets), the planner statistics and
+   name partitions folded from it against a document scan, cursor
+   stepping against an evaluation oracle, blob persistence (with a
+   byte-level corruption fuzz), store integration — and the maintenance
+   fuzz: after every random Update op, the incrementally maintained
+   guide must equal a from-scratch rebuild of the new document,
+   member-for-member. *)
 
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Update = Scj_encoding.Update
 module Tree = Scj_xml.Tree
 module Guide = Scj_guide.Guide
+module Doc_stats = Scj_guide.Doc_stats
 module Store = Scj_store.Store
 module Eval = Scj_xpath.Eval
 module Fuzz = Test_support.Fuzz
+module Doc_scan = Test_support.Doc_scan
 
 let members_t = Alcotest.(list (pair string (array int)))
 
@@ -85,7 +89,7 @@ let test_text_children () =
   Alcotest.(check int) "both text runs share one path" 2 (Guide.card g texts);
   Alcotest.(check int) "one summary node" 1 (Guide.cursor_size texts);
   Alcotest.(check (list int)) "its members are the text runs" [ 1; 3 ]
-    (Nodeseq.to_list (Guide.members g texts));
+    (Nodeseq.to_list (Guide.members g (Guide.cursor_ids texts)));
   Alcotest.(check (array int)) "path spelling" [| 1; 3 |] (List.assoc "/r/#text" (alist g))
 
 (* Summary member sets must partition the document: every row appears in
@@ -109,12 +113,48 @@ let test_members_partition () =
         [ 0; 1 ])
     Fuzz.all_shapes
 
+(* The statistics folded from the guide state what a scan of the
+   document counts, and every element and attribute name's partition is
+   that name's positions of its kind. *)
+let test_stats_match_scan () =
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun seed ->
+          let doc = Fuzz.doc shape seed in
+          let g = Guide.build doc in
+          Doc_scan.check
+            (Printf.sprintf "shape=%s seed=%d" (Fuzz.shape_to_string shape) seed)
+            doc g (Doc_stats.of_guide g doc))
+        (Fuzz.seeds 4))
+    Fuzz.all_shapes
+
+(* Multi-path partitions merge in document order: <a> on four paths,
+   one of them holding the first and the last <a>; @k under three
+   parents. *)
+let test_partition_merge () =
+  let doc = doc_of_string "<r><a k='1'><b><a k='2'/></b><a/></a><b k='3'><a/></b><a/></r>" in
+  let g = Guide.build doc in
+  let st = Doc_stats.of_guide g doc in
+  let partition (ts : Doc_stats.tag_stats) =
+    (List.length ts.paths, Nodeseq.to_list (Guide.members g ts.paths))
+  in
+  Alcotest.(check (pair int (list int))) "<a> on four paths" (4, [ 1; 4; 6; 9; 10 ])
+    (partition (Doc_stats.tag st "a"));
+  Alcotest.(check (pair int (list int))) "@k on three paths" (3, [ 2; 5; 8 ])
+    (partition (Doc_stats.attribute st "k"));
+  Alcotest.(check (pair int (list int))) "no <zz>" (0, []) (partition (Doc_stats.tag st "zz"));
+  Doc_scan.check "merge fixture" doc g st
+
 (* Downward cursor cardinalities against the evaluator: for child chains
-   and descendant steps from the root the guide must be exact. *)
+   and descendant steps from the root the guide must be exact.  The
+   evaluator is forced and reads no partition, so it counts
+   independently of the guide. *)
 let test_cursor_oracle () =
   let doc = Fuzz.doc Fuzz.Uniform 3 in
   let g = Guide.build doc in
-  let session = Eval.session doc in
+  let forced = `Force (Scj_plan.Plan.Serial Scj_trace.Exec.Estimation) in
+  let session = Eval.session ~strategy:{ Eval.backend = forced; pushdown = `Never } doc in
   let count q =
     match Eval.run session q with
     | Ok ns -> Nodeseq.length ns
@@ -166,6 +206,55 @@ let test_blob_corrupt () =
   match Guide.deserialize Bytes.empty with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty blob accepted"
+
+(* [deserialize] answers every blob with Ok or Error; it never raises. *)
+let decodes_or_rejects what blob =
+  match Guide.deserialize blob with
+  | Ok _ | Error _ -> ()
+  | exception e -> Alcotest.failf "%s: deserialize raised %s" what (Printexc.to_string e)
+
+(* The blob's header is four ints; the first node's parent, kind and name
+   length follow, then its name and its member count. *)
+let test_blob_corrupt_counts () =
+  let blob = Guide.serialize (Guide.build (doc_of_string "<r><a x='1'>t</a><b/></r>")) in
+  let with_int pos v =
+    let b = Bytes.copy blob in
+    Bytes.set_int64_le b pos (Int64.of_int v);
+    b
+  in
+  let rejected what b =
+    match Guide.deserialize b with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  rejected "member count 2^40" (with_int ((7 * 8) + String.length "r") (1 lsl 40));
+  rejected "name length near max_int" (with_int (6 * 8) (max_int - 4))
+
+(* Byte-level fuzz: random bytes (half of them behind a valid header),
+   every truncation and every single-bit flip of each shape's blob. *)
+let test_blob_fuzz () =
+  let st = Random.State.make [| 0xb10b |] in
+  let header = Bytes.sub (Guide.serialize (Guide.build (Fuzz.doc Fuzz.Tiny 0))) 0 16 in
+  for i = 1 to 500 do
+    let noise = Bytes.init (Random.State.int st 300) (fun _ -> Char.chr (Random.State.int st 256)) in
+    let blob = if i mod 2 = 0 then Bytes.cat header noise else noise in
+    decodes_or_rejects (Printf.sprintf "random blob %d" i) blob
+  done;
+  List.iter
+    (fun shape ->
+      let blob = Guide.serialize (Guide.build (Fuzz.doc shape 1)) in
+      let what = Fuzz.shape_to_string shape in
+      for len = 0 to Bytes.length blob - 1 do
+        decodes_or_rejects (Printf.sprintf "%s truncated to %d" what len) (Bytes.sub blob 0 len)
+      done;
+      for bit = 0 to (8 * Bytes.length blob) - 1 do
+        let b = Bytes.copy blob in
+        let byte = bit / 8 in
+        Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl (bit mod 8))));
+        decodes_or_rejects (Printf.sprintf "%s bit %d flipped" what bit) b
+      done)
+    Fuzz.all_shapes
 
 (* ------------------------------------------------------------------ *)
 (* maintenance fuzz: update == rebuild                                 *)
@@ -322,12 +411,16 @@ let () =
           Alcotest.test_case "attribute-only children" `Quick test_attribute_only_children;
           Alcotest.test_case "text children" `Quick test_text_children;
           Alcotest.test_case "members partition the document" `Quick test_members_partition;
+          Alcotest.test_case "statistics = document scan" `Quick test_stats_match_scan;
+          Alcotest.test_case "multi-path partitions merge" `Quick test_partition_merge;
           Alcotest.test_case "cursor cardinality oracle" `Quick test_cursor_oracle;
         ] );
       ( "persistence",
         [
           Alcotest.test_case "serialize/deserialize roundtrip" `Quick test_blob_roundtrip;
           Alcotest.test_case "corrupt blobs rejected" `Quick test_blob_corrupt;
+          Alcotest.test_case "corrupt counts rejected" `Quick test_blob_corrupt_counts;
+          Alcotest.test_case "byte-level fuzz never raises" `Quick test_blob_fuzz;
         ] );
       ("maintenance", [ Alcotest.test_case "update == rebuild fuzz" `Quick test_fuzz ]);
       ( "store",

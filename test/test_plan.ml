@@ -1,5 +1,6 @@
 (* Tests for the plan IR and the cost-based planner (lib/plan) plus the
-   document statistics behind its cost model (lib/stats/doc_stats).
+   document statistics behind its cost model (lib/guide/doc_stats), which
+   fold the dataguide.
 
    The golden plan trees are rendered against the deterministic XMark
    fixture (default seed, scale 0.003), so the cost-model numbers are
@@ -10,7 +11,9 @@
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Axis = Scj_encoding.Axis
-module Doc_stats = Scj_stats.Doc_stats
+module Doc_stats = Scj_guide.Doc_stats
+module Guide = Scj_guide.Guide
+module Doc_scan = Test_support.Doc_scan
 module Plan = Scj_plan.Plan
 module Planner = Scj_plan.Planner
 module Eval = Scj_xpath.Eval
@@ -40,7 +43,9 @@ let stats_doc () =
 
 let test_doc_stats_counts () =
   let d = stats_doc () in
-  let s = Doc_stats.build d in
+  let g = Guide.build d in
+  let s = Doc_stats.of_guide g d in
+  Doc_scan.check "fixture" d g s;
   check_int "n_nodes" (Doc.n_nodes d) s.Doc_stats.n_nodes;
   check_int "elements" 7 s.Doc_stats.n_elements;
   check_int "attributes" 1 s.Doc_stats.n_attributes;
@@ -54,6 +59,9 @@ let test_doc_stats_counts () =
   check_int "unknown tag" 0 (Doc_stats.tag s "zzz").Doc_stats.count;
   (* subtree sums: the two 'a' subtrees hold 4+1 and 2 descendants *)
   check_int "a subtree sum" 7 (Doc_stats.tag s "a").Doc_stats.subtree_sum;
+  check_int "b level sum" 6 (Doc_stats.tag s "b").Doc_stats.level_sum;
+  check_int "attribute x" 1 (Doc_stats.attribute s "x").Doc_stats.count;
+  check_int "b on one path" 1 (List.length (Doc_stats.tag s "b").Doc_stats.paths);
   check_bool "selectivity in (0,1]" true
     (let sel = Doc_stats.selectivity s "b" in
      sel > 0.0 && sel <= 1.0)
@@ -63,10 +71,19 @@ let test_doc_stats_memoized () =
   let cat = Planner.catalog d in
   check_bool "same stats object" true
     (Planner.doc_stats cat == Planner.doc_stats cat);
-  (* the memoized tag view is the sorted element fragment *)
-  let view = Planner.tag_view cat "b" in
+  (* the memoized view of b's paths is the sorted element fragment *)
+  let paths = (Doc_stats.tag (Planner.doc_stats cat) "b").Doc_stats.paths in
+  let view = Planner.view cat paths in
   check_int "tag view size" 3 (Planner.Sj.View.length view);
-  check_bool "same view object" true (Planner.tag_view cat "b" == Planner.tag_view cat "b")
+  check_bool "same view object" true (Planner.view cat paths == Planner.view cat paths)
+
+(* The statistics folded from the guide state what a document scan
+   counts on a generated XMark document, and every name's partition is
+   its fragment. *)
+let test_doc_stats_xmark () =
+  let d = Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.1 ())) in
+  let g = Guide.build d in
+  Doc_scan.check "XMark 0.1" d g (Doc_stats.of_guide g d)
 
 (* ------------------------------------------------------------------ *)
 (* logical rewrites                                                     *)
@@ -157,26 +174,26 @@ let golden_plan_q1 =
   {golden|source: document node (emulated at the root element)  [est card=1]
 join: descendant-or-self::profile
   backend: staircase join (serial, estimation) + self
-  pushdown: yes (join over the fragment) -- tag fragment 'profile': 28 node(s) vs. estimated scan of 6737 node(s)
+  pushdown: yes (join over the fragment) -- guide partition: 28 node(s) vs. estimated scan of 6737 node(s)
   guide: exact card=28 over 1 path(s)
   est: in=1 touches=6737 out=28 cost=39
-  rejected: document cost=6748, guide partition cost=39
+  rejected: document cost=6748
 join: descendant::education
   backend: staircase join (serial, estimation)
-  pushdown: yes (join over the fragment) -- tag fragment 'education': 13 node(s) vs. estimated scan of 264 node(s)
+  pushdown: yes (join over the fragment) -- guide partition: 13 node(s) vs. estimated scan of 264 node(s)
   guide: exact card=13 over 1 path(s)
   est: in=28 touches=264 out=13 cost=321
-  rejected: document cost=572, guide partition cost=321
+  rejected: document cost=572
 |golden}
 
 let golden_plan_keyword =
   {golden|source: document node (emulated at the root element)  [est card=1]
 join: descendant-or-self::keyword
   backend: staircase join (serial, estimation) + self
-  pushdown: yes (join over the fragment) -- tag fragment 'keyword': 54 node(s) vs. estimated scan of 6737 node(s)
+  pushdown: yes (join over the fragment) -- guide partition: 54 node(s) vs. estimated scan of 6737 node(s)
   guide: exact card=54 over 18 path(s)
   est: in=1 touches=6737 out=54 cost=65
-  rejected: document cost=6748, guide partition cost=65
+  rejected: document cost=6748
 |golden}
 
 let golden_plan_wild =
@@ -197,12 +214,12 @@ let golden_plan_semijoin =
   {golden|source: document node (emulated at the root element)  [est card=1]
 join: descendant-or-self::bidder[descendant::increase]
   backend: staircase join (serial, estimation) + self
-  pushdown: yes (join over the fragment) -- tag fragment 'bidder': 147 node(s) vs. estimated scan of 6737 node(s)
+  pushdown: yes (join over the fragment) -- guide partition: 147 node(s) vs. estimated scan of 6737 node(s)
   guide: upper bound card<=147 over 1 path(s)
   predicates: 1 (semijoin)
   semijoin: yes -- fragments descendant::increase=147; cost=294 vs. per-node cost=13083
   est: in=1 touches=6737 out=147 cost=158
-  rejected: document cost=6748, guide partition cost=158
+  rejected: document cost=6748
 |golden}
 
 let test_golden_q1 () = check_string "q1" golden_plan_q1 (plan_string "/descendant::profile/descendant::education")
@@ -403,15 +420,18 @@ let test_deep_chain_planning () =
   let doc = match Doc.of_string (Buffer.contents buf) with Ok d -> d | Error e -> Alcotest.fail e in
   let session = Eval.session doc in
   let cat = Eval.catalog_of_session session in
-  ignore (Planner.guide cat);
-  ignore (Planner.doc_stats cat);
-  let plan q =
+  let g = Planner.guide cat in
+  let bounded what f =
     let before = Gc.allocated_bytes () in
-    let plan = Eval.path_plan session (parse_ok q) in
+    let x = f () in
     let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
-    check_bool (Printf.sprintf "planning %s allocated %.1f MB (< 32)" q mb) true (mb < 32.);
-    plan
+    check_bool (Printf.sprintf "%s allocated %.1f MB (< 32)" what mb) true (mb < 32.);
+    x
   in
+  (* the statistics fold sweeps the summary without recursion *)
+  Doc_scan.check "deep chain" doc g
+    (bounded "folding the statistics" (fun () -> Planner.doc_stats cat));
+  let plan q = bounded ("planning " ^ q) (fun () -> Eval.path_plan session (parse_ok q)) in
   check_bool "the cursor holds one path per level" true
     (contains (Plan.physical_to_string (plan "//a")) (Printf.sprintf "over %d path(s)" depth));
   ignore (plan "//a/ancestor::a");
@@ -434,6 +454,7 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_doc_stats_counts;
           Alcotest.test_case "memoized views" `Quick test_doc_stats_memoized;
+          Alcotest.test_case "XMark 0.1 = document scan" `Quick test_doc_stats_xmark;
         ] );
       ( "rewrites",
         [

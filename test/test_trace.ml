@@ -262,16 +262,16 @@ plan:
   source: document node (emulated at the root element)  [est card=1]
   join: descendant-or-self::increase
     backend: staircase join (serial, estimation) + self
-    pushdown: yes (join over the fragment) -- tag fragment 'increase': 147 node(s) vs. estimated scan of 6737 node(s)
+    pushdown: yes (join over the fragment) -- guide partition: 147 node(s) vs. estimated scan of 6737 node(s)
     guide: exact card=147 over 1 path(s)
     est: in=1 touches=6737 out=147 cost=158
-    rejected: document cost=6748, guide partition cost=158
+    rejected: document cost=6748
   join: ancestor::bidder
     backend: staircase join (serial, estimation)
-    pushdown: yes (join over the fragment) -- tag fragment 'bidder': 147 node(s) vs. estimated scan of 588 node(s)
+    pushdown: yes (join over the fragment) -- guide partition: 147 node(s) vs. estimated scan of 588 node(s)
     guide: upper bound card<=147 over 1 path(s)
     est: in=147 touches=588 out=147 cost=1764
-    rejected: document cost=2205, guide partition cost=1764
+    rejected: document cost=2205
 
 equivalent pure-SQL translation (§2.1):
 SELECT DISTINCT v2.pre

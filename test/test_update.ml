@@ -4,20 +4,22 @@
    splice on the Scj_xml.Tree the document was encoded from, re-encoded
    from scratch, and compared column by column against the incremental
    Update.apply renumbering.  The same fuzz drives the incremental
-   maintenance paths — document statistics, the SQL-plan B-tree index,
-   the planner session — each checked for equality with a from-scratch
-   rebuild over the mutated document. *)
+   maintenance paths — the SQL-plan B-tree index and the planner session,
+   whose statistics fold its maintained dataguide — each checked against
+   a from-scratch rebuild or a scan of the mutated document. *)
 
 module Doc = Scj_encoding.Doc
 module Nodeseq = Scj_encoding.Nodeseq
 module Update = Scj_encoding.Update
 module Tree = Scj_xml.Tree
-module Doc_stats = Scj_stats.Doc_stats
+module Doc_stats = Scj_guide.Doc_stats
+module Guide = Scj_guide.Guide
 module Sql_plan = Scj_engine.Sql_plan
+module Planner = Scj_plan.Planner
 module Eval = Scj_xpath.Eval
-module Fragmented = Scj_frag.Fragmented
 module Err = Scj_error.Error
 module Fuzz = Test_support.Fuzz
+module Doc_scan = Test_support.Doc_scan
 
 (* ------------------------------------------------------------------ *)
 (* column-level document equality                                      *)
@@ -139,31 +141,20 @@ let oracle_apply tree op =
 (* incremental-maintenance equality                                    *)
 (* ------------------------------------------------------------------ *)
 
-let stats_canonical (s : Doc_stats.t) =
-  let tags =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.Doc_stats.tags []
-    |> List.sort compare
-    |> List.filter (fun ((_ : string), t) -> t <> Doc_stats.zero_tag)
-  in
-  ( s.Doc_stats.n_nodes, s.Doc_stats.n_elements, s.Doc_stats.n_attributes, s.Doc_stats.n_texts,
-    s.Doc_stats.n_comments, s.Doc_stats.n_pis, s.Doc_stats.height, s.Doc_stats.root_size,
-    s.Doc_stats.element_subtree_sum, s.Doc_stats.element_level_sum, tags )
-
-let check_maintenance what ~old_doc ~stats ~index (applied : Update.applied) =
+let check_maintenance what ~old_doc ~index (applied : Update.applied) =
   let doc = applied.Update.doc in
-  (* statistics: incremental patch = fresh scan *)
-  let patched =
-    Doc_stats.update stats ~old_doc ~doc ~splice:applied.Update.splice ~delta:applied.Update.delta
-  in
-  if stats_canonical patched <> stats_canonical (Doc_stats.build doc) then
-    Alcotest.failf "%s: incremental Doc_stats diverge from a fresh build" what;
   (* B-tree index: incremental maintain = fresh bulk load, binding for
      binding (this also pins dictionary-symbol stability across the
      mutation: values are interned tag symbols) *)
   Sql_plan.maintain index ~old_doc ~doc ~splice:applied.Update.splice ~delta:applied.Update.delta;
   if Sql_plan.index_bindings index <> Sql_plan.index_bindings (Sql_plan.build_index doc) then
-    Alcotest.failf "%s: maintained B-tree index diverges from a fresh bulk load" what;
-  patched
+    Alcotest.failf "%s: maintained B-tree index diverges from a fresh bulk load" what
+
+(* The evolved catalog's statistics, folded from its splice-maintained
+   guide, state what a scan of the mutated document counts. *)
+let check_stats what session doc =
+  let cat = Eval.catalog_of_session session in
+  Doc_scan.check what doc (Planner.guide cat) (Planner.doc_stats cat)
 
 let queries =
   [
@@ -214,7 +205,7 @@ let random_op st doc =
 let fuzz_history ~checks shape seed =
   let tree = Fuzz.tree shape seed in
   let st = Random.State.make [| 0xdd5; seed; Hashtbl.hash (Fuzz.shape_to_string shape) |] in
-  let rec steps i tree doc stats index session =
+  let rec steps i tree doc index session =
     if i >= 6 then ()
     else
       let op = random_op st doc in
@@ -227,7 +218,7 @@ let fuzz_history ~checks shape seed =
         (* an invalid draw (e.g. delete pre landed outside a deletable
            row): redrawing forever cannot happen because inserts and
            renames always validate *)
-        steps i tree doc stats index session
+        steps i tree doc index session
       | Ok applied ->
         incr checks;
         let next = applied.Update.doc in
@@ -243,13 +234,17 @@ let fuzz_history ~checks shape seed =
         let tree = oracle_apply tree op in
         check_doc_eq what next (Doc.of_tree tree);
         (* incremental maintenance = from-scratch rebuild *)
-        let stats = check_maintenance what ~old_doc:doc ~stats ~index applied in
+        check_maintenance what ~old_doc:doc ~index applied;
         let session = Eval.evolve session applied in
+        check_stats what session next;
         check_session_parity what session next;
-        steps (i + 1) tree next stats index session
+        steps (i + 1) tree next index session
   in
   let doc = Doc.of_tree tree in
-  steps 0 tree doc (Doc_stats.build doc) (Sql_plan.build_index doc) (Eval.session doc)
+  let session = Eval.session doc in
+  (* materialize the guide so that every evolution maintains it *)
+  check_stats "initial document" session doc;
+  steps 0 tree doc (Sql_plan.build_index doc) session
 
 let test_fuzz () =
   let checks = ref 0 in
@@ -361,13 +356,16 @@ let test_invalid_targets () =
     (Update.Insert { parent = 2; before = None; fragment = Tree.elem "x" [] })
 
 (* Renaming a node of a tag that forms a fragmentation partition: the
-   partition map, the tag views and the planner all follow. *)
+   tag fragments (the partitions of the guide paths ending in each tag),
+   the evolved catalog and the planner all follow. *)
 let test_rename_partition_tag () =
   let doc = doc_of_string {|<r><a><b/></a><a><b/></a><a><b/></a></r>|} in
   let session = Eval.session doc in
-  let frag = Fragmented.build doc in
-  Alcotest.(check bool) "a is a partition tag" true
-    (List.mem_assoc "a" (Fragmented.tags frag));
+  let fragment_size d tag =
+    let g = Guide.build d in
+    Nodeseq.length (Guide.members g (Doc_stats.tag (Doc_stats.of_guide g d) tag).Doc_stats.paths)
+  in
+  Alcotest.(check int) "a is a partition tag" 3 (fragment_size doc "a");
   let target =
     match Doc.tag_positions doc "a" with [||] -> Alcotest.fail "no <a>" | ps -> ps.(1)
   in
@@ -377,14 +375,17 @@ let test_rename_partition_tag () =
   Alcotest.(check int) "a lost one member" 2 (Array.length (Doc.tag_positions doc' "a"));
   Alcotest.(check (array int)) "z holds the renamed pre" [| target |]
     (Doc.tag_positions doc' "z");
-  (* the rebuilt partition map reflects the new tag *)
-  let frag' = Fragmented.build doc' in
-  Alcotest.(check (option int)) "partition count of a" (Some 2)
-    (List.assoc_opt "a" (Fragmented.tags frag'));
-  Alcotest.(check (option int)) "partition count of z" (Some 1)
-    (List.assoc_opt "z" (Fragmented.tags frag'));
+  (* the rebuilt partitions reflect the new tag *)
+  Alcotest.(check int) "partition count of a" 2 (fragment_size doc' "a");
+  Alcotest.(check int) "partition count of z" 1 (fragment_size doc' "z");
   (* the evolved session answers tag queries under the new name *)
+  ignore (Eval.run session "/descendant::a");
   let session = Eval.evolve session applied in
+  let cat = Eval.catalog_of_session session in
+  Alcotest.(check (list int)) "evolved fragment of z" [ target ]
+    (Nodeseq.to_list
+       (Planner.Sj.View.to_nodeseq
+          (Planner.view cat (Doc_stats.tag (Planner.doc_stats cat) "z").Doc_stats.paths)));
   (match Eval.run session "/descendant::z" with
   | Ok r -> Alcotest.(check (list int)) "evolved //z" [ target ] (Nodeseq.to_list r)
   | Error e -> Alcotest.failf "evolved //z: %s" (Err.to_string e));

@@ -369,7 +369,7 @@ let test_explain () =
         true
         (string_contains ~needle:fragment report))
     [
-      "staircase join"; "pushdown"; "tag fragment 'increase'"; "est: in=";
+      "staircase join"; "pushdown"; "guide partition: "; "est: in=";
       "rejected:"; "SELECT DISTINCT v2.pre"; "v2.tag = 'bidder'";
     ];
   (* predicates and non-partitioning axes are reported too: the chosen
@@ -390,7 +390,7 @@ let test_cost_model_decisions () =
   let session = Eval.session d in
   (* selective tag below the root: pushdown pays off, and the plan says so *)
   (match Eval.path_plan session (parse_ok q1) with
-  | Plan.P_step (_, { Plan.impl = Plan.Join { push = Plan.Push_tag "education"; _ }; _ }) -> ()
+  | Plan.P_step (_, { Plan.impl = Plan.Join { push = Plan.Push_paths [ _ ]; _ }; _ }) -> ()
   | p -> Alcotest.failf "expected a pushed name test, got:\n%s" (Plan.physical_to_string p));
   (* estimated touches of a root descendant step = whole document *)
   (match Eval.path_plan session (parse_ok "/descendant::node()") with
