@@ -23,8 +23,9 @@
     or file basename without extension); the catalog orders them
     lexicographically — the {e document order} cross-corpus queries
     merge in.  The shared pool serves the open-time rendition of every
-    document; later writes flow through the per-document rendition
-    chains of {!Scj_server.Server}, never through the shared pool. *)
+    document; a later write gives that document's {!Scj_server.Server}
+    a rendition paged by its own [Db] ({!Db.paged}), never through the
+    shared pool. *)
 
 module Doc = Scj_encoding.Doc
 

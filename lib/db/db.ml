@@ -90,12 +90,6 @@ let describe t =
   | File path -> Printf.sprintf "encoded from %s" (Filename.basename path)
   | Memory -> "in-memory document"
 
-(* pool sizing for non-store documents, mirroring Store's default *)
-let default_capacity ~page_ints n =
-  let pages_for ints = (ints + page_ints - 1) / page_ints in
-  let pool_pages = pages_for n + pages_for (n + 1) + pages_for n in
-  max 24 (pool_pages / 10)
-
 let paged ?page_ints ?stripes ?capacity t =
   with_lock t (fun () ->
       match t.paged with
@@ -109,7 +103,7 @@ let paged ?page_ints ?stripes ?capacity t =
             let capacity =
               match capacity with
               | Some c -> c
-              | None -> default_capacity ~page_ints (Doc.n_nodes t.doc)
+              | None -> Paged_doc.default_capacity ~page_ints (Doc.n_nodes t.doc)
             in
             Paged_doc.load ~page_ints ?stripes ~capacity t.doc
         in
@@ -127,10 +121,8 @@ let session t =
       | Some s -> s
       | None ->
         (* seed the planner with the backing's guide so a store open
-           never rescans the document for path statistics; a corrupt
-           guide extent falls back to the planner's own lazy build *)
-        let guide = try Some (guide_locked t) with Store.Corrupt _ -> None in
-        let s = Eval.session ?strategy:t.strategy ?paged:t.paged ?guide t.doc in
+           never rescans the document for path statistics *)
+        let s = Eval.session ?strategy:t.strategy ?paged:t.paged ~guide:(guide_locked t) t.doc in
         t.session <- Some s;
         s)
 
@@ -155,7 +147,8 @@ let apply t op =
                 ~delta:applied.Update.delta)
             t.guide;
         (* the paged memo belongs to the retired rendition; the session
-           evolves incrementally (statistics patched, index spliced) *)
+           evolves incrementally (guide spliced, statistics dropped and
+           refolded on first use, index spliced) *)
         t.paged <- None;
         t.session <- Option.map (fun s -> Eval.evolve s applied) t.session;
         Ok applied)

@@ -11,17 +11,18 @@
       {!Scj_encoding.Codec};
     - anything else: parsed as XML.
 
-    The handle memoizes the derived artifacts (paged rendition, planner
-    session) and keeps them consistent across {!apply}: a mutation
-    installs the new rendition, drops the paged memo (readers holding
-    the old rendition keep it — renditions are immutable) and evolves
-    the session incrementally ({!Scj_xpath.Eval.evolve}).
+    The handle memoizes the derived artifacts (dataguide, paged
+    rendition, planner session) and keeps them consistent across
+    {!apply}: a mutation installs the new rendition, splices the guide
+    once, drops the paged memo (readers holding the old rendition keep
+    it — renditions are immutable) and evolves the session
+    incrementally ({!Scj_xpath.Eval.evolve}).
 
     Concurrency: the handle itself is thread-safe (memos under a lock),
     but the {!session} it hands out carries mutable caches and must stay
     on one domain.  The query service ({!Scj_server.Server}) builds
-    per-worker sessions and uses the [Db] only for {!apply} and the
-    initial rendition. *)
+    per-worker sessions; at start and after each {!apply} it commits, it
+    snapshots {!doc}, {!guide} and {!paged} as the next rendition. *)
 
 module Doc = Scj_encoding.Doc
 module Update = Scj_encoding.Update
@@ -68,7 +69,8 @@ val describe : t -> string
 
 (** The paged rendition of the current document, memoized: file-backed
     for a store, an in-memory page image otherwise.  [page_ints]
-    (default 1024) applies to in-memory images only. *)
+    (default 1024) applies to in-memory images only; [capacity] defaults
+    to {!Scj_pager.Paged_doc.default_capacity}. *)
 val paged : ?page_ints:int -> ?stripes:int -> ?capacity:int -> t -> Scj_pager.Paged_doc.t
 
 (** Replace the paged memo — for callers that built a special rendition

@@ -136,10 +136,6 @@ type t = {
   capacity : int;
   max_overflow : int;
   policy : policy;
-  epoch : int;
-      (* which rendition these pages belong to: every page frame in this
-         pool carries the tag implicitly, so a reader holding the pool
-         can never observe a page of another rendition *)
   stripes : stripe array;
   hits : int Atomic.t;
   faults : int Atomic.t;
@@ -152,7 +148,7 @@ let kin_of_cap cap = max 1 (cap / 4)
 
 let kout_of_cap cap = max 1 (cap / 2)
 
-let create ?(policy = Lru) ?(stripes = 1) ?(max_overflow = max_int) ?(epoch = 0) ~capacity store =
+let create ?(policy = Lru) ?(stripes = 1) ?(max_overflow = max_int) ~capacity store =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be positive";
   if max_overflow < 0 then invalid_arg "Buffer_pool.create: max_overflow must be non-negative";
   let n_stripes = max 1 (min stripes capacity) in
@@ -178,7 +174,6 @@ let create ?(policy = Lru) ?(stripes = 1) ?(max_overflow = max_int) ?(epoch = 0)
     capacity;
     max_overflow;
     policy;
-    epoch;
     stripes = Array.init n_stripes stripe;
     hits = Atomic.make 0;
     faults = Atomic.make 0;
@@ -188,8 +183,6 @@ let create ?(policy = Lru) ?(stripes = 1) ?(max_overflow = max_int) ?(epoch = 0)
 let capacity t = t.capacity
 
 let policy t = t.policy
-
-let epoch t = t.epoch
 
 let n_stripes t = Array.length t.stripes
 

@@ -144,21 +144,13 @@ val policy_of_string : string -> policy option
     unbounded); past the bound a fault raises {!Exhausted} instead of
     spinning or growing.
 
-    [epoch] tags the pool with the rendition of the document its pages
-    belong to (default 0): under snapshot isolation every rendition gets
-    its own pool, so a reader that pinned a pool can never mix pages of
-    two renditions.
-
     @raise Invalid_argument if [capacity <= 0] or [max_overflow < 0]. *)
 val create :
-  ?policy:policy -> ?stripes:int -> ?max_overflow:int -> ?epoch:int -> capacity:int -> Store.t -> t
+  ?policy:policy -> ?stripes:int -> ?max_overflow:int -> capacity:int -> Store.t -> t
 
 val capacity : t -> int
 
 val policy : t -> policy
-
-(** Rendition tag this pool's pages belong to. *)
-val epoch : t -> int
 
 val n_stripes : t -> int
 

@@ -34,6 +34,11 @@ let extents ~page_ints ~n =
   let size_base = prefix_base + (pages_for ~page_ints (n + 1) * page_ints) in
   (prefix_base, size_base)
 
+(* A tenth of the three extents' pages, never fewer than 24 frames. *)
+let default_capacity ~page_ints n =
+  let pages = pages_for ~page_ints n + pages_for ~page_ints (n + 1) + pages_for ~page_ints n in
+  max 24 (pages / 10)
+
 let guard_capacity ~who ~stripes ~capacity =
   if capacity < min_frames_per_stripe * stripes then
     invalid_arg
@@ -64,14 +69,14 @@ let image_store ?(page_ints = 1024) ?fault_latency doc =
   Array.blit sizes 0 data size_base n;
   Buffer_pool.Store.create ?fault_latency ~page_ints data
 
-let load ?(page_ints = 1024) ?(stripes = 1) ?fault_latency ?(epoch = 0) ~capacity doc =
+let load ?(page_ints = 1024) ?(stripes = 1) ?fault_latency ~capacity doc =
   let stripes = max 1 stripes in
   guard_capacity ~who:"Paged_doc.load" ~stripes ~capacity;
   let store = image_store ~page_ints ?fault_latency doc in
   let n = Doc.n_nodes doc in
   let prefix_base, size_base = extents ~page_ints ~n in
   {
-    pool = Buffer_pool.create ~stripes ~epoch ~capacity store;
+    pool = Buffer_pool.create ~stripes ~capacity store;
     off = 0;
     n;
     height = Doc.height doc;

@@ -46,9 +46,7 @@ type t
     columns out on pages of [page_ints] integers (default 1024 ≈ an 8 KB
     page of 64-bit ranks) and attaches a pool of [capacity] frames,
     latch-striped [stripes] ways (default 1); [fault_latency] is the
-    simulated per-fault device latency in seconds (default 0); [epoch]
-    tags the pool with the rendition the pages belong to (default 0, see
-    {!Buffer_pool.create}).
+    simulated per-fault device latency in seconds (default 0).
     @raise Invalid_argument if [capacity] cannot hold one query's working
     set — post, attr-prefix and size pages may be live at once, so at
     least 3 frames per stripe are required. *)
@@ -56,10 +54,14 @@ val load :
   ?page_ints:int ->
   ?stripes:int ->
   ?fault_latency:float ->
-  ?epoch:int ->
   capacity:int ->
   Scj_encoding.Doc.t ->
   t
+
+(** [default_capacity ~page_ints n] — the pool size a paged rendition of
+    an [n]-node document gets unless its caller names one: a tenth of
+    the pages of its three extents, never fewer than 24 frames. *)
+val default_capacity : page_ints:int -> int -> int
 
 (** [image_store ?page_ints ?fault_latency doc] — the three page-aligned
     extents of [doc] laid out as an in-memory simulated-disk store

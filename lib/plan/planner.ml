@@ -45,8 +45,7 @@ let doc t = t.cat_doc
    rebuilt, and the statistics and partition views — derived from the
    guide — are dropped for lazy rebuild.  Ownership of the mutable index
    transfers to the new catalog: the old one must not serve queries
-   afterwards (the server retires a rendition's session before evolving
-   it). *)
+   afterwards. *)
 let evolve ?paged t ~doc ~splice ~delta =
   let cat_guide =
     Option.map (fun g -> Guide.update g ~old_doc:t.cat_doc ~doc ~splice ~delta) t.cat_guide

@@ -10,6 +10,7 @@ module Xq_compile = Scj_xquery.Xq_compile
 module Paged_doc = Scj_pager.Paged_doc
 module Buffer_pool = Scj_pager.Buffer_pool
 module Db = Scj_db.Db
+module Guide = Scj_guide.Guide
 
 type query =
   | Path of string
@@ -53,25 +54,19 @@ type service_stats = {
   tally_misses : int;
 }
 
-(* One immutable rendition of the document under snapshot isolation:
-   the doc, its paged image (pool tagged with the epoch), and the delta
-   that produced it — the chain lets a worker carry its session forward
-   incrementally instead of replanning from scratch. *)
-type rendition = {
-  repoch : int;
-  rdoc : Doc.t;
-  rpaged : Paged_doc.t;
-  prev : (rendition * Update.applied) option;
-}
+(* One immutable rendition of the document under snapshot isolation: a
+   snapshot of the Db's document, its dataguide and its paged image,
+   taken at a commit.  Workers plan over the one guide (published guides
+   are never mutated: Guide.update copies), so a commit splices it once
+   for every worker; nothing links a rendition to its predecessor, which
+   becomes garbage once no worker or in-flight query holds it. *)
+type rendition = { repoch : int; rdoc : Doc.t; rguide : Guide.t; rpaged : Paged_doc.t }
 
 (* [wsvc] is the per-worker query cache (parsed XPath / compiled FLWOR
-   programs, keyed by language + strategy + source); it closes over
-   [wsession], so it is rebuilt whenever the session changes. *)
-type worker_state = {
-  mutable wrend : rendition;
-  mutable wsession : Eval.session;
-  mutable wsvc : Xq_compile.service;
-}
+   programs, keyed by language + strategy + source) over a session of
+   [wrend]; its programs close over that session, so both are replaced
+   together when the worker moves to a newer rendition. *)
+type worker_state = { mutable wrend : rendition; mutable wsvc : Xq_compile.service }
 
 type t = {
   db : Db.t;
@@ -91,7 +86,7 @@ type t = {
   pool : Scj_frag.Morsel.Pool.t;
   n_workers : int;
   (* per-domain sessions, lazily built: whichever pool domain picks up a
-     drainer job gets (or creates) its own session chain *)
+     drainer job gets (or creates) its own session *)
   wsm : Mutex.t;
   wstates : (int, worker_state) Hashtbl.t;
   (* the rendition pointer: one word, swapped under [rm] at commit —
@@ -125,13 +120,10 @@ let current t =
   Mutex.unlock t.rm;
   r
 
-(* in-memory paged image for a post-mutation rendition *)
-let rendition_pool ~epoch doc =
-  let page_ints = 1024 in
-  let n = Doc.n_nodes doc in
-  let pages_for ints = (ints + page_ints - 1) / page_ints in
-  let capacity = max 24 ((pages_for n + pages_for (n + 1) + pages_for n) / 10) in
-  Paged_doc.load ~page_ints ~epoch ~capacity doc
+(* the Db's current state as rendition [epoch]; under the writer mutex
+   (or before the service starts), so the three agree *)
+let snapshot db epoch =
+  { repoch = epoch; rdoc = Db.doc db; rguide = Db.guide db; rpaged = Db.paged db }
 
 let finish t handle ~tally outcome =
   Mutex.lock t.sm;
@@ -157,45 +149,21 @@ let finish t handle ~tally outcome =
   Mutex.unlock handle.hm
 
 (* ------------------------------------------------------------------ *)
-(* Per-worker sessions along the rendition chain                       *)
+(* Per-worker sessions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* renditions [target+1 .. r.repoch] with their deltas, oldest first;
-   None when the chain doesn't reach back (shouldn't happen — the chain
-   is only ever extended) *)
-let rec chain_back r target acc =
-  if r.repoch = target then Some acc
-  else
-    match r.prev with None -> None | Some (p, d) -> chain_back p target ((r, d) :: acc)
+let service_over t r =
+  Xq_compile.service
+    (Eval.session ?strategy:(Db.strategy t.db) ~paged:r.rpaged ~guide:r.rguide r.rdoc)
 
-let max_evolve_steps = 8
-
-let fresh_session t r =
-  Eval.session ?strategy:(Db.strategy t.db) ~paged:r.rpaged r.rdoc
-
-(* the session this worker should use for rendition [r]: evolved
-   incrementally when the delta chain is short, rebuilt otherwise.
-   Either way the query cache is invalidated — its compiled programs
-   close over the superseded session. *)
-let session_for t ws r =
-  if ws.wrend == r then ws.wsession
-  else begin
-    let session =
-      match chain_back r ws.wrend.repoch [] with
-      | Some steps when List.length steps <= max_evolve_steps ->
-        List.fold_left
-          (fun s (r', delta) -> Eval.evolve ~paged:r'.rpaged s delta)
-          ws.wsession steps
-      | Some _ | None -> fresh_session t r
-    in
-    ws.wrend <- r;
-    ws.wsession <- session;
-    ws.wsvc <- Xq_compile.service session;
-    session
-  end
-
+(* the worker's query cache for rendition [r]: when the rendition
+   changed, a fresh session over its shared guide and a fresh cache —
+   nothing is carried forward from the superseded rendition *)
 let service_for t ws r =
-  ignore (session_for t ws r : Eval.session);
+  if ws.wrend != r then begin
+    ws.wrend <- r;
+    ws.wsvc <- service_over t r
+  end;
   ws.wsvc
 
 (* ------------------------------------------------------------------ *)
@@ -218,11 +186,7 @@ let exec_write t op expect =
         | Error _ as e -> e
         | Ok applied ->
           let epoch = cur.repoch + 1 in
-          let doc = applied.Update.doc in
-          let r =
-            { repoch = epoch; rdoc = doc; rpaged = rendition_pool ~epoch doc;
-              prev = Some (cur, applied) }
-          in
+          let r = snapshot t.db epoch in
           (* the commit point: one pointer swap — readers either see the
              whole old rendition or the whole new one *)
           Mutex.lock t.rm;
@@ -325,8 +289,7 @@ let worker_state_for t =
     | Some ws -> ws
     | None ->
       let r = current t in
-      let session = fresh_session t r in
-      let ws = { wrend = r; wsession = session; wsvc = Xq_compile.service session } in
+      let ws = { wrend = r; wsvc = service_over t r } in
       Hashtbl.add t.wstates id ws;
       ws
   in
@@ -359,9 +322,7 @@ let create ?workers ?queue_bound ?deadline db =
   let n_workers = match workers with Some w -> max 1 w | None -> Exec.default_domains () in
   let queue_bound = match queue_bound with Some b -> max 1 b | None -> 4 * n_workers in
   let default_deadline = match deadline with Some d -> d | None -> infinity in
-  let initial =
-    { repoch = 0; rdoc = Db.doc db; rpaged = Db.paged db; prev = None }
-  in
+  let initial = snapshot db 0 in
   let t =
     {
       db;

@@ -8,20 +8,25 @@
 
     {2 Snapshot isolation}
 
-    The document lives in {e renditions}: immutable (epoch, doc, paged
-    image) triples.  A reader pins the current rendition with one
-    pointer read and evaluates entirely against it — it never observes
-    a partially renumbered document, however many commits land while it
-    runs.  Writes ({!query-Write}) are serialized through a single-writer
-    mutex: the update is validated, committed through the Db (WAL-logged
-    when store-backed), and the new rendition is installed with one
-    pointer swap — the commit point.  An optional [expect] epoch turns a
-    write into a compare-and-swap: a mismatch fails with
-    {!Scj_error.Error.Conflict} and commits nothing.
+    The document lives in {e renditions}: immutable (epoch, doc,
+    dataguide, paged image) snapshots of the {!Scj_db.Db}.  A reader
+    pins the current rendition with one pointer read and evaluates
+    entirely against it — it never observes a partially renumbered
+    document, however many commits land while it runs.  Writes
+    ({!query-Write}) are serialized through a single-writer mutex: the
+    update is validated, committed through the Db (WAL-logged when
+    store-backed; the Db splices its one guide and pages the new
+    document), and the new rendition is installed with one pointer swap
+    — the commit point.  An optional [expect] epoch turns a write into a
+    compare-and-swap: a mismatch fails with {!Scj_error.Error.Conflict}
+    and commits nothing.
 
-    Workers carry their planner session across commits incrementally
-    ({!Scj_xpath.Eval.evolve} along the rendition delta chain) instead
-    of replanning from scratch.
+    A worker whose rendition changed opens a fresh planner session over
+    the new rendition's guide (shared by every worker, never mutated)
+    and a fresh query cache.  No rendition links to its predecessor: one
+    is reclaimed once no worker and no in-flight query holds it, so at
+    most workers + in-flight queries renditions stay reachable, however
+    many commits land.
 
     {2 Isolation and accounting}
 
@@ -58,7 +63,8 @@ type query =
   | Step of [ `Desc | `Anc ] * Nodeseq.t
       (** one staircase-join step over the pinned rendition's {e paged}
           image — the disk-based workload whose fault latencies
-          concurrent queries overlap *)
+          concurrent queries overlap; a context rank at or past the
+          rendition's node count fails as [Validation] *)
   | Write of { op : Update.op; expect : int option }
       (** a structural update; [expect = Some e] commits only if the
           current epoch is still [e] (optimistic concurrency) *)
@@ -109,13 +115,16 @@ type service_stats = {
 }
 
 (** [create ?workers ?queue_bound ?deadline db] starts the worker
-    domains immediately over [db]'s current rendition (epoch 0).
+    domains immediately over [db]'s current rendition (epoch 0), reading
+    its guide once ({!Scj_db.Db.guide}: a store's persisted extent, or
+    one build) for every worker.
     [workers] defaults to {!Scj_trace.Exec.default_domains};
     [queue_bound] (default [4 * workers]) is the backpressure limit;
     [deadline] (seconds, default none) applies to queries submitted
     without their own.  To serve a special paged rendition (fault
     latency, tiny pages), attach it with {!Scj_db.Db.attach_paged}
-    before [create]. *)
+    before [create]; renditions after a commit get the Db's default
+    image ({!Scj_db.Db.paged}). *)
 val create : ?workers:int -> ?queue_bound:int -> ?deadline:float -> Scj_db.Db.t -> t
 
 val workers : t -> int

@@ -5,7 +5,7 @@
     size-bounded pool — and gives each document its own {!Server.t}:
 
     - {e routing}: {!submit}/{!run} address one document by id;
-    - {e per-document epochs}: each tenant's rendition chain and epoch
+    - {e per-document epochs}: each tenant's renditions and epoch
       counter advance independently, so a [Write] with an [expect]
       epoch CAS on document A can never conflict with a write to
       document B;

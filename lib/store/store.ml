@@ -276,8 +276,6 @@ let pool_store t =
       Atomic.set spare (Some b);
       ints)
 
-let default_capacity g = max 24 (pool_pages g / 10)
-
 (* Materialize the base (page-file) rendition: post extent + meta
    extent, read directly (checksum-verified) — deliberately not through
    the buffer pool, whose stats stay pure query traffic.  Caller holds
@@ -332,11 +330,12 @@ let guide_banner t reason =
     t.path reason
 
 (* The store's dataguide.  Clean v3 store: deserialized straight from
-   its extent (no document rescan).  Pre-guide (v1/v2) store, a corrupt
-   guide extent, or a base rendition lagging committed mutations: rebuilt
-   from the current document — one banner line in the pre-guide/corrupt
-   cases, and the next checkpoint writes the extent.  Once materialized,
-   [apply] maintains the memo incrementally. *)
+   its extent (no document rescan).  Pre-guide (v1/v2) store, a guide
+   extent that fails its page checksums or does not decode, or a base
+   rendition lagging committed mutations: rebuilt from the current
+   document — one banner line in the pre-guide/corrupt cases, and the
+   next checkpoint writes the extent.  Once materialized, [apply]
+   maintains the memo incrementally. *)
 let guide_locked t =
   match t.guide_memo with
   | Some g -> g
@@ -351,7 +350,8 @@ let guide_locked t =
         (* the extent describes the base rendition, not the pending one *)
         Guide.build d
       else
-        match Guide.deserialize (read_guide_blob t) with
+        let blob = try Ok (read_guide_blob t) with Corrupt msg -> Error msg in
+        match Result.bind blob Guide.deserialize with
         | Ok g when Guide.doc_nodes g = Doc.n_nodes d -> g
         | Ok _ ->
           guide_banner t "guide extent disagrees with the document";
@@ -370,29 +370,23 @@ let paged ?(stripes = 8) ?capacity t =
       match t.paged with
       | Some p -> p
       | None ->
+        let page_ints = t.geo.page_ints in
+        let capacity =
+          match capacity with
+          | Some c -> c
+          | None -> Paged_doc.default_capacity ~page_ints (n_nodes t)
+        in
+        let stripes = max 1 (min stripes (capacity / 3)) in
         let p =
-          if t.pending = [] then begin
+          if t.pending = [] then
             (* clean store: serve queries straight off the page file *)
-            let capacity =
-              match capacity with Some c -> c | None -> default_capacity t.geo
-            in
-            let stripes = max 1 (min stripes (capacity / 3)) in
-            let pool = Buffer_pool.create ~stripes ~capacity (pool_store t) in
-            Paged_doc.attach ~n:t.geo.n_nodes ~height:t.geo.height pool
-          end
-          else begin
+            Paged_doc.attach ~n:t.geo.n_nodes ~height:t.geo.height
+              (Buffer_pool.create ~stripes ~capacity (pool_store t))
+          else
             (* the page file lags the committed mutations: page an
                in-memory image of the current rendition instead of the
                stale extents *)
-            let d = doc_locked t in
-            let g =
-              geometry ~page_ints:t.geo.page_ints ~n_nodes:(Doc.n_nodes d)
-                ~height:(Doc.height d) ~meta_bytes:0 ~guide_bytes:0
-            in
-            let capacity = match capacity with Some c -> c | None -> default_capacity g in
-            let stripes = max 1 (min stripes (capacity / 3)) in
-            Paged_doc.load ~page_ints:g.page_ints ~stripes ~capacity d
-          end
+            Paged_doc.load ~page_ints ~stripes ~capacity (doc_locked t)
         in
         t.paged <- Some p;
         p)

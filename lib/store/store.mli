@@ -90,8 +90,8 @@ val pending_mutations : t -> int
     page file is stale, so the current rendition is paged from an
     in-memory image instead; each {!apply} drops the memo (readers
     holding the previous rendition keep it).  [stripes] (default 8) and
-    [capacity] (default [max 24 (pool_pages/10)]) apply per
-    memoization. *)
+    [capacity] (default {!Scj_pager.Paged_doc.default_capacity}) apply
+    per memoization. *)
 val paged : ?stripes:int -> ?capacity:int -> t -> Scj_pager.Paged_doc.t
 
 (** The memoized pool behind {!paged} — on a clean store its hit/fault
@@ -120,12 +120,14 @@ val verify : t -> (unit, Scj_error.Error.t) result
 
 (** The store's strong dataguide (path summary), memoized.  On a clean
     version-3 store it deserializes straight from the guide extent — no
-    document rescan.  A pre-guide store, a corrupt guide extent, or a
-    base rendition lagging pending mutations rebuilds from the current
-    document instead (one stderr banner in the first two cases); the
-    next {!checkpoint} persists the rebuilt guide.  Once materialized,
-    {!apply} maintains the memo incrementally across mutations.
-    @raise Corrupt if reading the extent hits a checksum mismatch. *)
+    document rescan.  A pre-guide store, a guide extent that fails its
+    page checksums or does not decode, or a base rendition lagging
+    pending mutations rebuilds from the current document instead (one
+    stderr banner in the first two cases); the next {!checkpoint}
+    persists the rebuilt guide.  Once materialized, {!apply} maintains
+    the memo incrementally across mutations.
+    @raise Corrupt only as {!doc} does, when the document itself cannot
+    be materialized. *)
 val guide : t -> Scj_guide.Guide.t
 
 (** Fold pending mutations into the page file.  Clean store: fsync +

@@ -621,11 +621,12 @@ let run_exn ?exec ?context session input =
   | Ok r -> r
   | Error e -> invalid_arg ("Eval.run_exn: " ^ Scj_error.Error.to_string e)
 
-(* Carrying a session across a mutation: the catalog evolves (statistics
-   patched, B+-tree index spliced — see Planner.evolve) and the plan
-   cache drops, because cached physical plans hold predicate closures
-   over the retired rendition.  The old session must not run queries
-   afterwards — its catalog's index now describes the new rendition. *)
+(* Carrying a session across a mutation: the catalog evolves (guide
+   spliced, statistics and views dropped and refolded from it on first
+   use, B+-tree index spliced — see Planner.evolve) and the plan cache
+   drops, because cached physical plans hold predicate closures over the
+   retired rendition.  The old session must not run queries afterwards —
+   its catalog's index now describes the new rendition. *)
 let evolve ?paged session (applied : Scj_encoding.Update.applied) =
   let doc = applied.Scj_encoding.Update.doc in
   {

@@ -75,12 +75,14 @@ val strategy_of_session : session -> strategy
 
 (** [evolve ?paged session applied] carries the session across a
     mutation: the catalog evolves incrementally ({!Planner.evolve} —
-    statistics patched, B+-tree index spliced, views dropped for lazy
-    rebuild) and the plan cache is discarded (cached plans close over the
-    retired rendition).  [paged] attaches the new rendition's pool.
-    Ownership transfer: the old session must not run queries after
-    [evolve] — under snapshot isolation each reader evolves its own
-    session when it adopts the new rendition. *)
+    dataguide spliced, statistics and partition views dropped and
+    refolded from it on first use, B+-tree index spliced) and the plan
+    cache is discarded (cached plans close over the retired rendition).
+    [paged] attaches the new rendition's pool.  Ownership transfer: the
+    old session must not run queries after [evolve].  ({!Scj_db.Db.apply}
+    evolves the handle's own session this way; the query service instead
+    opens a fresh session over each committed rendition's shared
+    guide.) *)
 val evolve : ?paged:Scj_pager.Paged_doc.t -> session -> Scj_encoding.Update.applied -> session
 
 (** [step ?exec session context s] evaluates one axis step (node test and

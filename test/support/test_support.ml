@@ -106,6 +106,36 @@ let spec_step doc axis context =
   done;
   Nodeseq.of_unsorted !hits
 
+(* Scratch directories for store tests: unique per process and call,
+   removed with the files a store leaves in them. *)
+let dir_counter = ref 0
+
+let fresh_dir () =
+  incr dir_counter;
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "scj_test_%d_%d" (Unix.getpid ()) !dir_counter)
+
+let wipe dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let with_dir f =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> wipe dir) (fun () -> f dir)
+
+(* Flip every bit of the byte at [pos] of the file at [path], in place. *)
+let flip_byte path pos =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
 (* Deterministic random documents for the differential fuzzing harness. *)
 module Fuzz = Fuzz
 

@@ -323,22 +323,7 @@ let test_fuzz () =
 (* store integration                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "scj_guide_test_%d_%d" (Unix.getpid ()) !dir_counter)
-
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> wipe dir) (fun () -> f dir)
+let with_dir = Test_support.with_dir
 
 let pages_size dir = (Unix.stat (Filename.concat dir "pages.scj")).Unix.st_size
 
@@ -401,6 +386,37 @@ let test_store_maintenance () =
         check_guide "checkpointed guide matches" s' (Store.doc s');
         Store.close s')
 
+(* A byte flipped inside the guide extent (the file's last page) fails
+   that page's checksum: [Store.guide] rebuilds from the document
+   instead of raising, the checksum walk still reports the damage, and a
+   server over the store answers queries. *)
+let test_store_corrupt_extent () =
+  with_dir (fun dir ->
+      let doc = Fuzz.doc Fuzz.Uniform 8 in
+      Store.close (Store.create ~path:dir doc);
+      (* the last payload byte before the last page's checksum *)
+      Test_support.flip_byte (Filename.concat dir "pages.scj") (pages_size dir - 9);
+      (match Store.open_ dir with
+      | Error e -> Alcotest.failf "open: %s" (Scj_error.Error.to_string e)
+      | Ok s ->
+        check_guide "rebuilt past a corrupt extent page" s doc;
+        Alcotest.(check bool)
+          "the checksum walk still fails" true
+          (Result.is_error (Store.verify s));
+        Store.close s);
+      match Scj_db.Db.open_ dir with
+      | Error e -> Alcotest.failf "Db.open_: %s" (Scj_error.Error.to_string e)
+      | Ok db ->
+        let server = Scj_server.Server.create ~workers:1 db in
+        let q = "/descendant::a" in
+        (match Scj_server.Server.run server (Scj_server.Server.Path q) with
+        | Scj_server.Server.Done r ->
+          Alcotest.(check bool) "the server answers" true
+            (Nodeseq.equal (Eval.run_exn (Eval.session doc) q) r.Scj_server.Server.result)
+        | _ -> Alcotest.fail "the server did not answer");
+        Scj_server.Server.shutdown server;
+        Scj_db.Db.close db)
+
 let () =
   Alcotest.run "guide"
     [
@@ -428,5 +444,6 @@ let () =
           Alcotest.test_case "v3 roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "pre-guide store upgrades" `Quick test_store_preguide;
           Alcotest.test_case "maintained across apply" `Quick test_store_maintenance;
+          Alcotest.test_case "corrupt extent page rebuilds" `Quick test_store_corrupt_extent;
         ] );
     ]

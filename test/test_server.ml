@@ -351,26 +351,26 @@ module Tree = Scj_xml.Tree
 
 let fragment = Tree.elem "hot" [ Tree.elem "entry" [] ]
 
-(* one serialized writer transaction: insert <hot><entry/></hot> under
-   the root (-> epoch 3t+1), rename it to warm (-> 3t+2), delete it
-   (-> 3t+3); returns the spliced pre *)
-let writer_triple server =
+(* one serialized writer transaction through [run]: insert
+   <hot><entry/></hot> under the root (-> epoch 3t+1), rename it to warm
+   (-> 3t+2), delete it (-> 3t+3) *)
+let writer_triple_via run =
   let root = 0 in
   match
-    Server.run server
+    run
       (Server.Write { op = Update.Insert { parent = root; before = None; fragment }; expect = None })
   with
   | Server.Done r when Nodeseq.length r.Server.result = 1 ->
     let pre = Nodeseq.get r.Server.result 0 in
-    (match
-       Server.run server (Server.Write { op = Update.Rename { pre; name = "warm" }; expect = None })
-     with
+    (match run (Server.Write { op = Update.Rename { pre; name = "warm" }; expect = None }) with
     | Server.Done _ -> ()
     | _ -> Alcotest.fail "rename write failed");
-    (match Server.run server (Server.Write { op = Update.Delete { pre }; expect = None }) with
+    (match run (Server.Write { op = Update.Delete { pre }; expect = None }) with
     | Server.Done _ -> ()
     | _ -> Alcotest.fail "delete write failed")
   | _ -> Alcotest.fail "insert write failed"
+
+let writer_triple server = writer_triple_via (Server.run server)
 
 (* Readers pinned to any rendition must see a document that is exactly
    one committed state: the reply's epoch determines the answer to
@@ -426,9 +426,8 @@ let test_snapshot_isolation () =
   Server.shutdown server
 
 (* Optimistic concurrency: [expect] is compare-and-swap on the epoch;
-   invalid updates fail without committing; worker sessions survive
-   arbitrarily long commit chains (past the incremental-evolution
-   bound). *)
+   invalid updates fail without committing; workers keep answering from
+   the latest rendition across long runs of commits. *)
 let test_write_conflicts () =
   let doc = Fuzz.doc Fuzz.Uniform 17 in
   let paged = Paged_doc.load ~page_ints:8 ~capacity:16 doc in
@@ -457,8 +456,8 @@ let test_write_conflicts () =
   | Server.Failed (Err.Validation _) -> ()
   | _ -> Alcotest.fail "deleting the root through the server was accepted");
   check_int "failed writes did not commit" 1 (Server.epoch server);
-  (* long commit chains: far past the incremental session-evolution
-     bound, readers must still answer from the latest rendition *)
+  (* a long run of commits: readers must still answer from the latest
+     rendition *)
   for _ = 1 to 12 do
     writer_triple server
   done;
@@ -468,7 +467,7 @@ let test_write_conflicts () =
     (* the epoch-1 insert is still there; every triple cleaned up after
        itself *)
     check_int "one hot fragment left" 1 (Nodeseq.length r.Server.result)
-  | _ -> Alcotest.fail "reader after long commit chain failed");
+  | _ -> Alcotest.fail "reader after a long run of commits failed");
   let stats = Server.stats server in
   check_int "commit count" 37 stats.Server.commits;
   check_int "failures counted" 2 stats.Server.failed;
@@ -481,6 +480,88 @@ let test_write_conflicts () =
   | Server.Stopped -> ()
   | Server.Accepted _ -> Alcotest.fail "write accepted after shutdown"
   | Server.Overloaded -> Alcotest.fail "shutdown misreported as backpressure"
+
+module Staircase = Scj_core.Staircase
+module Store = Scj_store.Store
+
+let with_dir = Test_support.with_dir
+
+let open_db path =
+  match Db.open_ path with Ok db -> db | Error e -> Alcotest.failf "open: %s" (Err.to_string e)
+
+(* a random structural update of [doc]: an insert under an element, a
+   rename of one, or the delete of a small subtree *)
+let random_write st doc =
+  let n = Doc.n_nodes doc in
+  let rec pick_node ok =
+    let v = 1 + Random.State.int st (n - 1) in
+    if ok v then v else pick_node ok
+  in
+  let element v = Doc.kind doc v = Doc.Element in
+  match Random.State.int st 3 with
+  | 0 -> Update.Insert { parent = pick_node element; before = None; fragment }
+  | 1 -> Update.Rename { pre = pick_node element; name = "renamed" }
+  | _ -> Update.Delete { pre = pick_node (fun v -> Doc.size doc v < 16) }
+
+(* [Step] queries after commits: each commit installs the Db's paged
+   image of the new document.  After every commit, a descendant step
+   from the root and an ancestor step, pinned to epoch e, must equal the
+   in-memory staircase join over epoch e's document — replayed here with
+   Update.apply — and a context rank at or past that document's node
+   count must still be the caller's error. *)
+let check_steps_after_commits what db =
+  let server = Server.create ~workers:2 db in
+  let st = Random.State.make [| 0x57e9 |] in
+  let check_epoch epoch doc =
+    let n = Doc.n_nodes doc in
+    let leaves = Nodeseq.of_unsorted [ n - 1; n / 2; n / 3; 1 ] in
+    let root = Nodeseq.singleton (Doc.root doc) in
+    List.iter
+      (fun (step, q, expected) ->
+        match Server.run server q with
+        | Server.Done r ->
+          check_int (Printf.sprintf "%s: %s pinned epoch" what step) epoch r.Server.epoch;
+          if not (Nodeseq.equal expected r.Server.result) then
+            Alcotest.failf "%s: %s at epoch %d answered %d node(s), the staircase join %d" what
+              step epoch (Nodeseq.length r.Server.result) (Nodeseq.length expected)
+        | Server.Failed e -> Alcotest.failf "%s: %s failed: %s" what step (Err.to_string e)
+        | Server.Timed_out | Server.Dropped -> Alcotest.failf "%s: %s got no answer" what step)
+      [
+        ("descendant step", Server.Step (`Desc, root), Staircase.desc doc root);
+        ("ancestor step", Server.Step (`Anc, leaves), Staircase.anc doc leaves);
+      ];
+    match Server.run server (Server.Step (`Anc, Nodeseq.of_unsorted [ 1; n ])) with
+    | Server.Failed (Err.Validation _) -> ()
+    | _ -> Alcotest.failf "%s: context rank %d accepted at epoch %d" what n epoch
+  in
+  let rec commits epoch doc left =
+    check_epoch epoch doc;
+    if left > 0 then begin
+      let op = random_write st doc in
+      match Update.apply doc op with
+      | Error _ -> commits epoch doc left
+      | Ok applied ->
+        (match Server.run server (Server.Write { op; expect = Some epoch }) with
+        | Server.Done r -> check_int (what ^ ": commit epoch") (epoch + 1) r.Server.epoch
+        | Server.Failed e ->
+          Alcotest.failf "%s: %s failed: %s" what (Update.op_to_string op) (Err.to_string e)
+        | Server.Timed_out | Server.Dropped -> Alcotest.failf "%s: write got no answer" what);
+        commits (epoch + 1) applied.Update.doc (left - 1)
+    end
+  in
+  commits 0 (Db.doc db) 12;
+  Server.shutdown server
+
+let test_steps_after_commits () =
+  let doc = Fuzz.doc Fuzz.Uniform 19 in
+  let db = Db.of_doc doc in
+  Db.attach_paged db (Paged_doc.load ~page_ints:8 ~capacity:16 doc);
+  check_steps_after_commits "in memory" db;
+  with_dir (fun dir ->
+      Store.close (Store.create ~page_ints:16 ~path:dir doc);
+      let db = open_db dir in
+      check_steps_after_commits "store-backed" db;
+      Db.close db)
 
 (* ------------------------------------------------------------------ *)
 (* sharded serving over one shared pool                                 *)
@@ -649,6 +730,75 @@ let test_per_doc_epoch_isolation () =
   Catalog.close cat
 
 (* ------------------------------------------------------------------ *)
+(* bounded memory under writes                                          *)
+(* ------------------------------------------------------------------ *)
+
+let xmark_small =
+  lazy (Doc.of_tree (Scj_xmlgen.Xmark.generate (Scj_xmlgen.Xmark.config ~scale:0.002 ())))
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* [triples] insert/rename/delete triples through [triple], with
+   [read] before each: once the first triple has committed, the live
+   heap must stay within 3x its size then — a rendition is reclaimed
+   once no worker and no in-flight query holds it, so memory must not
+   grow with the number of commits. *)
+let check_bounded what ~triples ~triple ~read =
+  read ();
+  triple ();
+  let first = live_words () in
+  for i = 2 to triples do
+    read ();
+    triple ();
+    if i mod 20 = 0 then begin
+      let live = live_words () in
+      if live > 3 * first then
+        Alcotest.failf "%s: %d live words after %d commits, %d after the first 3" what live (3 * i)
+          first
+    end
+  done
+
+let reads =
+  [ "//person[profile/education]/name"; "/descendant::hot"; "//item/description//keyword" ]
+
+let check_read what = function
+  | Server.Done _ -> ()
+  | Server.Failed e -> Alcotest.failf "%s: read failed: %s" what (Err.to_string e)
+  | Server.Timed_out | Server.Dropped -> Alcotest.failf "%s: read got no answer" what
+
+let test_bounded_memory_server () =
+  with_dir (fun dir ->
+      Store.close (Store.create ~path:dir (Lazy.force xmark_small));
+      let db = open_db dir in
+      let server = Server.create ~workers:2 db in
+      check_bounded "server" ~triples:100
+        ~triple:(fun () -> writer_triple server)
+        ~read:(fun () ->
+          List.iter (fun q -> check_read "server" (Server.run server (Server.Path q))) reads);
+      check_int "every write committed" 300 (Server.epoch server);
+      Server.shutdown server;
+      Db.close db)
+
+let test_bounded_memory_shard () =
+  let cat = Catalog.of_docs [ ("a", Lazy.force xmark_small); ("b", Fuzz.doc Fuzz.Wide 23) ] in
+  let shard = Shard.create ~workers:2 cat in
+  check_bounded "shard" ~triples:100
+    ~triple:(fun () ->
+      writer_triple_via (Shard.run shard ~doc:"a");
+      writer_triple_via (Shard.run shard ~doc:"b"))
+    ~read:(fun () ->
+      List.iter
+        (fun q ->
+          List.iter (fun (_, o) -> check_read "shard" o) (Shard.run_all shard (Server.Path q)))
+        reads);
+  check_bool "every write committed" true
+    (Shard.epoch shard "a" = Some 300 && Shard.epoch shard "b" = Some 300);
+  Shard.shutdown shard;
+  Catalog.close cat
+
+(* ------------------------------------------------------------------ *)
 (* latency histogram                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,6 +862,8 @@ let () =
             test_snapshot_isolation;
           Alcotest.test_case "write conflicts, invalid writes, long chains" `Quick
             test_write_conflicts;
+          Alcotest.test_case "steps after commits = staircase join" `Quick
+            test_steps_after_commits;
         ] );
       ( "sharded serving",
         [
@@ -719,6 +871,11 @@ let () =
             test_shared_pool_fairness;
           Alcotest.test_case "per-document epoch CAS isolation" `Quick
             test_per_doc_epoch_isolation;
+        ] );
+      ( "bounded memory",
+        [
+          Alcotest.test_case "server over a store" `Quick test_bounded_memory_server;
+          Alcotest.test_case "two-tenant shard" `Quick test_bounded_memory_shard;
         ] );
       ( "histogram",
         [

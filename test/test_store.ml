@@ -21,35 +21,16 @@ let error_t = Alcotest.testable Err.pp ( = )
 module Fuzz = Test_support.Fuzz
 module Faultfs = Test_support.Faultfs
 
-let dir_counter = ref 0
+let fresh_dir = Test_support.fresh_dir
 
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "scj_store_test_%d_%d" (Unix.getpid ()) !dir_counter)
+let wipe = Test_support.wipe
 
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> wipe dir) (fun () -> f dir)
+let with_dir = Test_support.with_dir
 
 let wal_size dir = (Unix.stat (Filename.concat dir "wal.scj")).Unix.st_size
 
 (* flip one byte of a store file in place *)
-let flip_byte dir file pos =
-  let fd = Unix.openfile (Filename.concat dir file) [ Unix.O_RDWR ] 0o644 in
-  let b = Bytes.create 1 in
-  ignore (Unix.lseek fd pos Unix.SEEK_SET);
-  ignore (Unix.read fd b 0 1);
-  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-  ignore (Unix.lseek fd pos Unix.SEEK_SET);
-  ignore (Unix.write fd b 0 1);
-  Unix.close fd
+let flip_byte dir file pos = Test_support.flip_byte (Filename.concat dir file) pos
 
 let contains_sub s sub =
   let n = String.length sub in
